@@ -118,7 +118,7 @@ func main() {
 	}
 	fmt.Printf("diff vs %s (%s, %s):\n", basePath, base.Date, base.GitRevision)
 	deltas := benchfmt.Diff(base, cur, *threshold)
-	benchfmt.Report(os.Stdout, deltas, *threshold, !*verbose)
+	benchfmt.Report(os.Stdout, deltas, benchfmt.Removed(base, cur), *threshold, !*verbose)
 	if *failFlag && benchfmt.Regressions(deltas) > 0 {
 		os.Exit(1)
 	}

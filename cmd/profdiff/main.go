@@ -1,5 +1,5 @@
 // Command profdiff inspects and compares continuous-profiling stores
-// (the -profile DIR output of repro/atmsim/admitd/admitload) and gates
+// (the -profile DIR output of repro and atmsim) and gates
 // CI on them. It answers three questions: where did this run spend its
 // CPU and allocations (report), how did that change between two runs
 // (diff), and does the run still satisfy the committed attribution

@@ -199,10 +199,30 @@ func Diff(old, new File, threshold float64) []Delta {
 	return out
 }
 
-// Report renders deltas as an aligned table, regressions marked. With
-// onlyInteresting, unchanged comparisons (|change| ≤ threshold/2) are
-// suppressed to keep CI logs short; the summary line always appears.
-func Report(w io.Writer, deltas []Delta, threshold float64, onlyInteresting bool) {
+// Removed lists, sorted, the benchmarks the old run recorded and the new
+// run lacks. Diff skips them; Report prints them so a deleted benchmark
+// does not vanish from the comparison silently. A removal is never a
+// regression.
+func Removed(old, new File) []string {
+	have := make(map[string]bool, len(new.Benchmarks))
+	for _, b := range new.Benchmarks {
+		have[b.Name] = true
+	}
+	var out []string
+	for _, b := range old.Benchmarks {
+		if !have[b.Name] {
+			out = append(out, b.Name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Report renders deltas as an aligned table, regressions marked, then one
+// line per removed benchmark. With onlyInteresting, unchanged comparisons
+// (|change| ≤ threshold/2) are suppressed to keep CI logs short; removals
+// and the summary line always appear.
+func Report(w io.Writer, deltas []Delta, removed []string, threshold float64, onlyInteresting bool) {
 	nReg := 0
 	fmt.Fprintf(w, "%-44s %-12s %14s %14s %8s\n", "benchmark", "unit", "old", "new", "change")
 	for _, d := range deltas {
@@ -227,8 +247,11 @@ func Report(w io.Writer, deltas []Delta, threshold float64, onlyInteresting bool
 		fmt.Fprintf(w, "%-44s %-12s %14.5g %14.5g %s%s\n",
 			d.Name, d.Unit, d.Old, d.New, change, mark)
 	}
-	fmt.Fprintf(w, "%d comparisons, %d regressions (threshold %.0f%%)\n",
-		len(deltas), nReg, 100*threshold)
+	for _, name := range removed {
+		fmt.Fprintf(w, "%-44s removed\n", name)
+	}
+	fmt.Fprintf(w, "%d comparisons, %d regressions, %d removed (threshold %.0f%%)\n",
+		len(deltas), nReg, len(removed), 100*threshold)
 }
 
 func maxNonZero(v float64) float64 {

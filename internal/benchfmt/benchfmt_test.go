@@ -142,7 +142,7 @@ func TestZeroBaselineAllocationsGate(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	Report(&buf, deltas, 0.20, true)
+	Report(&buf, deltas, nil, 0.20, true)
 	if !strings.Contains(buf.String(), "0→new") {
 		t.Errorf("report should mark the ratio-less change:\n%s", buf.String())
 	}
@@ -184,7 +184,7 @@ func TestReport(t *testing.T) {
 	}}
 	deltas := Diff(old, nw, 0.10)
 	var buf bytes.Buffer
-	Report(&buf, deltas, 0.10, true)
+	Report(&buf, deltas, nil, 0.10, true)
 	out := buf.String()
 	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "BenchmarkA") {
 		t.Errorf("report missing regression:\n%s", out)
@@ -194,5 +194,46 @@ func TestReport(t *testing.T) {
 	}
 	if !strings.Contains(out, "2 comparisons, 1 regressions") {
 		t.Errorf("report missing summary:\n%s", out)
+	}
+}
+
+func TestRemovedBenchmarksReported(t *testing.T) {
+	old := File{Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 100}},
+		{Name: "BenchmarkGone/sub", Metrics: map[string]float64{"ns/op": 1}},
+		{Name: "BenchmarkGone", Metrics: map[string]float64{"ns/op": 1}},
+	}}
+	nw := File{Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 100}},
+		{Name: "BenchmarkNew", Metrics: map[string]float64{"ns/op": 5}},
+	}}
+	removed := Removed(old, nw)
+	if want := []string{"BenchmarkGone", "BenchmarkGone/sub"}; strings.Join(removed, ",") != strings.Join(want, ",") {
+		t.Fatalf("Removed = %q, want %q", removed, want)
+	}
+	deltas := Diff(old, nw, 0.10)
+	if n := Regressions(deltas); n != 0 {
+		t.Errorf("removal counted as %d regressions", n)
+	}
+	var buf bytes.Buffer
+	Report(&buf, deltas, removed, 0.10, true)
+	out := buf.String()
+	lines := strings.Split(out, "\n")
+	for _, name := range removed {
+		found := false
+		for _, l := range lines {
+			if strings.HasPrefix(l, name+" ") && strings.HasSuffix(l, " removed") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("report has no removed line for %s:\n%s", name, out)
+		}
+	}
+	if strings.Contains(out, "BenchmarkNew") {
+		t.Errorf("a benchmark new to this run is not a removal:\n%s", out)
+	}
+	if !strings.Contains(out, "1 comparisons, 0 regressions, 2 removed") {
+		t.Errorf("summary does not count removals:\n%s", out)
 	}
 }

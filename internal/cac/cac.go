@@ -44,11 +44,8 @@ func (l Link) Validate() error {
 	return nil
 }
 
-// LinkMs builds a Link from the units the CLIs and the admission service
-// speak: capacity in cells/sec, frame duration in seconds and the delay
-// bound in milliseconds. Every front end constructs links through this one
-// helper so the ms→s conversion cannot drift between the batch CLI
-// (cmd/admit) and the online server (internal/admitd).
+// LinkMs builds a Link from the units cmd/admit's flags speak: capacity in
+// cells/sec, frame duration in seconds and the delay bound in milliseconds.
 func LinkMs(cellsPerSec, ts, delayMs float64) Link {
 	return Link{CellsPerSec: cellsPerSec, Ts: ts, Delay: delayMs / 1000}
 }
@@ -80,10 +77,8 @@ func (e Estimator) String() string {
 	}
 }
 
-// ParseEstimator resolves the estimator names the front ends accept
-// ("br"/"bahadur-rao" and "largen"/"large-n", case-insensitive). It is the
-// single name→Estimator mapping shared by cmd/admit and internal/admitd,
-// so the CLI and the server cannot accept different vocabularies.
+// ParseEstimator resolves the estimator names cmd/admit's -estimator flag
+// accepts ("br"/"bahadur-rao" and "largen"/"large-n", case-insensitive).
 func ParseEstimator(name string) (Estimator, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "br", "bahadur-rao", "bahadurrao":

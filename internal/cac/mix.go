@@ -10,13 +10,6 @@ import (
 // MixMeetsTarget reports whether a heterogeneous mix on the link satisfies
 // the loss target under the Bahadur-Rao estimate.
 func MixMeetsTarget(mix core.Mix, l Link, clrTarget float64) (bool, error) {
-	return MixMeetsTargetEst(mix, l, clrTarget, BahadurRao)
-}
-
-// MixMeetsTargetEst is MixMeetsTarget with an explicit overflow estimator,
-// the form the admission service uses so its -estimator flag covers the
-// heterogeneous path too.
-func MixMeetsTargetEst(mix core.Mix, l Link, clrTarget float64, e Estimator) (bool, error) {
 	if err := l.Validate(); err != nil {
 		return false, err
 	}
@@ -26,18 +19,7 @@ func MixMeetsTargetEst(mix core.Mix, l Link, clrTarget float64, e Estimator) (bo
 	if mix.MeanTotal() >= l.CellsPerFrame() {
 		return false, nil // unstable: cannot meet any target
 	}
-	var (
-		p   float64
-		err error
-	)
-	switch e {
-	case BahadurRao:
-		p, err = core.MixBahadurRao(mix, l.CellsPerFrame(), l.BufferCells(), 0)
-	case LargeN:
-		p, err = core.MixLargeN(mix, l.CellsPerFrame(), l.BufferCells(), 0)
-	default:
-		return false, fmt.Errorf("cac: unknown estimator %d", int(e))
-	}
+	p, err := core.MixBahadurRao(mix, l.CellsPerFrame(), l.BufferCells(), 0)
 	if err != nil {
 		return false, err
 	}

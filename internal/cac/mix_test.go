@@ -188,35 +188,3 @@ func TestMaxAdditionalSingleSourceExceedsCapacity(t *testing.T) {
 		t.Fatalf("got %d connections of a class that exceeds capacity, want 0", extra)
 	}
 }
-
-func TestMixMeetsTargetEst(t *testing.T) {
-	z, err := models.NewZ(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	link := testLink(0.020)
-	mix := core.Mix{{Model: z, Count: 5}}
-	br, err := MixMeetsTargetEst(mix, link, 1e-6, BahadurRao)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := MixMeetsTarget(mix, link, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if br != def {
-		t.Fatal("MixMeetsTargetEst(BahadurRao) must agree with MixMeetsTarget")
-	}
-	// Large-N drops the Bahadur-Rao prefactor (< 1), so its estimate is
-	// larger and it can only be more conservative, never more permissive.
-	ln, err := MixMeetsTargetEst(mix, link, 1e-6, LargeN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ln && !br {
-		t.Fatal("large-N admitted a mix Bahadur-Rao rejected")
-	}
-	if _, err := MixMeetsTargetEst(mix, link, 1e-6, Estimator(42)); err == nil {
-		t.Error("unknown estimator should error")
-	}
-}

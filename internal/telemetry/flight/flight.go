@@ -265,7 +265,7 @@ func (r *Recorder) Len() int {
 }
 
 // HistoryHandler serves the ring as JSON — mounted at /vars/history by
-// the CLIs' telemetry endpoints and the admitd mux:
+// the CLIs' telemetry endpoints:
 //
 //	{"interval_seconds": 1, "frames": [{"seq":0, "elapsed_seconds":..., "metrics":[...]}, ...]}
 //

@@ -3,7 +3,7 @@
 // and the continuous profiler (internal/telemetry/prof): one flag set,
 // one Start call, one Finish call, shared by every CLI so `-flight`,
 // `-flight-interval`, `-slo`, `-profile` and `-profile-interval` mean
-// the same thing in repro, atmsim, admitd and admitload.
+// the same thing in repro and atmsim.
 //
 // The packages stay decoupled — flight knows nothing of SLO rules or
 // profile stores, slo knows nothing of recording cadence — and meet only
@@ -32,7 +32,6 @@ package obs
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/internal/telemetry"
@@ -56,6 +55,11 @@ type Flags struct {
 	ProfileInterval time.Duration
 }
 
+// sloExample is the -slo usage example. It uses only value() rules on
+// metrics repro registers, so it passes on any clean run, however short:
+// a quantile rule on a metric the run never observes fails the verdict.
+const sloExample = "value(conv_nonfinite_total) == 0; value(mux_cells_lost_total) within [0, 1e6]"
+
 // AddFlags registers -flight, -flight-interval, -slo, -profile and
 // -profile-interval on the default flag set and returns the value
 // holder. Call before flag.Parse.
@@ -63,7 +67,7 @@ func AddFlags() *Flags {
 	f := &Flags{}
 	flag.StringVar(&f.Path, "flight", "", "record a delta-encoded JSONL flight log of periodic metric snapshots to this file (replay with obsreport); empty = off")
 	flag.DurationVar(&f.Interval, "flight-interval", flight.DefaultInterval, "flight recorder snapshot cadence (min 10ms)")
-	flag.StringVar(&f.Rules, "slo", "", `semicolon-separated SLO rules evaluated against each snapshot, e.g. 'p99(admitd_decision_latency_seconds) <= 0.01; value(mux_cells_lost_total) within [0, 1e6]'; any breach fails the run`)
+	flag.StringVar(&f.Rules, "slo", "", "semicolon-separated SLO rules evaluated against each snapshot, e.g. '"+sloExample+"'; any breach fails the run")
 	flag.StringVar(&f.ProfileDir, "profile", "", "capture continuous CPU/heap/goroutine profiles into this store directory (inspect with profdiff/obsreport); empty = off")
 	flag.DurationVar(&f.ProfileInterval, "profile-interval", prof.DefaultCollectInterval, "continuous-profiling capture cadence (min 100ms); each capture opens a CPU window of half the cadence")
 	return f
@@ -162,15 +166,6 @@ func (s *Session) Routes() []telemetry.Route {
 		return nil
 	}
 	return []telemetry.Route{{Pattern: "/vars/history", Handler: s.Rec.HistoryHandler()}}
-}
-
-// History returns the /vars/history handler, for servers that mount
-// their own mux (admitd's Config.History). Nil when the session is nil.
-func (s *Session) History() http.Handler {
-	if s == nil {
-		return nil
-	}
-	return s.Rec.HistoryHandler()
 }
 
 // Finish stops the recorder (recording the final frame) and the profile

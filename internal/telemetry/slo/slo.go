@@ -1,8 +1,8 @@
 // Package slo is a declarative service-level-objective engine evaluated
 // online against flight-recorder snapshots. Rules are compact strings:
 //
-//	p99(admitd_decision_seconds) <= 0.01
-//	p99(admitd_http_seconds{endpoint=admit}) <= 0.02
+//	p99(mux_chunk_fill_seconds) <= 0.01
+//	p99(experiments_stage_seconds{stage=fig8}) <= 60
 //	rate(mux_cells_lost_total) within [0, 1e6]
 //	stalled(runner_reps_done_total) <= 5
 //	nonfinite(mux_buffer_occupancy_cells) == 0

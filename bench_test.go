@@ -24,7 +24,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flight"
-	"repro/internal/telemetry/prof"
 	"repro/internal/traffic"
 )
 
@@ -352,25 +351,6 @@ func BenchmarkMuxRunBlockFlight(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rec.Stop()
-	benchMuxRun(b, replayWorkload(b))
-}
-
-// BenchmarkMuxRunBlockProfiled is BenchmarkMuxRunBlock with the
-// continuous profiler live at its default production cadence (CPU
-// windows, heap/goroutine snapshots, bounded store) — the exact
-// `-profile` configuration. The benchdiff baseline holds its throughput
-// within 1% of the plain block run: profiling is purely observational,
-// the simulation never waits on the collector.
-func BenchmarkMuxRunBlockProfiled(b *testing.B) {
-	col, err := prof.StartCollector(prof.CollectorOptions{
-		Dir:      filepath.Join(b.TempDir(), "profiles"),
-		Tool:     "bench",
-		Registry: telemetry.Default,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer col.Stop()
 	benchMuxRun(b, replayWorkload(b))
 }
 

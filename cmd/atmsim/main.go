@@ -7,7 +7,7 @@
 //	atmsim [-models z:0.975] [-c 538] [-n 30] [-buffers 0,2,5,10,20]
 //	       [-frames 100000] [-reps 8] [-seed 1] [-workers 0] [-bop]
 //	       [-adaptive] [-telemetry ADDR] [-flight FILE] [-slo RULES]
-//	       [-profile DIR]
+//	       [-cpuprofile FILE]
 //
 // With -adaptive (or an aimd:<spec> model spec) sources are closed-loop:
 // an AIMD controller scales each source's frame sizes against the queue
@@ -26,10 +26,11 @@
 // metric snapshots are recorded to a JSONL flight log (served live at
 // /vars/history on the -telemetry endpoint, replayed by obsreport), and
 // -slo RULES evaluates SLO rules online against each snapshot, exiting
-// non-zero on any breach. -profile DIR captures continuous CPU/heap
-// profiles, labelled by model, sweep point, engine path and worker lane,
-// into a bounded store (inspect with profdiff). -v/-quiet adjust log
-// verbosity. None of these sinks perturbs results.
+// non-zero on any breach. -cpuprofile FILE writes a whole-run CPU
+// profile, labelled by model, sweep point, engine path and worker lane,
+// for go tool pprof; it is written even when the run fails or is
+// interrupted. -v/-quiet adjust log verbosity. None of these sinks
+// perturbs results.
 package main
 
 import (
@@ -55,6 +56,10 @@ import (
 )
 
 var logx = telemetry.Log
+
+// sess is the run's observability session, kept where fatal can stop its
+// CPU profile before exiting.
+var sess *obs.Session
 
 func main() {
 	var (
@@ -86,7 +91,8 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	eng := runner.NewWithRegistry(*workers, telemetry.Default)
-	sess, err := obsFlags.Start(telemetry.Default, "atmsim")
+	var err error
+	sess, err = obsFlags.Start(telemetry.Default, "atmsim")
 	if err != nil {
 		fatal(err)
 	}
@@ -222,7 +228,12 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
+// fatal logs err and exits 1, stopping the CPU profile first so a failed
+// or interrupted run still leaves a readable profile.
 func fatal(err error) {
 	logx.Errorf("%v", err)
+	if perr := sess.StopProfile(); perr != nil {
+		logx.Errorf("cpu profile: %v", perr)
+	}
 	os.Exit(1)
 }

@@ -1,25 +1,24 @@
 // Command obsreport merges a run's observability artifacts — manifest,
-// flight log, profile store, span summary, and SLO verdicts — into one
-// self-contained run report: what ran, what it produced, how its metrics
-// evolved over time (per-metric sparkline series), how the Go runtime
-// behaved (GC pause and heap sparklines, goroutine high-water mark),
-// where the CPU went (top-N profile attribution), and whether it met its
-// objectives.
+// flight log, span summary, and SLO verdicts — into one self-contained
+// run report: what ran, what it produced, how its metrics evolved over
+// time (per-metric sparkline series), how the Go runtime behaved (GC
+// pause and heap sparklines, goroutine high-water mark), and whether it
+// met its objectives. Where the CPU went is read from a -cpuprofile file
+// with go tool pprof.
 //
 // Usage:
 //
-//	obsreport [-manifest FILE] [-flight FILE] [-profile DIR] [-slo RULES]
-//	          [-format md|json] [-out FILE] [-max-series 40] [-top 10]
+//	obsreport [-manifest FILE] [-flight FILE] [-slo RULES]
+//	          [-format md|json] [-out FILE] [-max-series 40]
 //	          [-fail-on-breach] [-v] [-quiet]
 //
-// At least one of -manifest, -flight and -profile is required. SLO rules
+// At least one of -manifest and -flight is required. SLO rules
 // (same syntax as the online -slo flag on the run binaries; see
 // internal/telemetry/slo) are replayed offline over the decoded flight
 // frames, so a soak recorded yesterday can be judged against objectives
 // written today. The runtime-health section appears when the flight log
 // carries the go_* metrics of the runtime/metrics bridge (any -flight
-// run records them); the profile section reads a -profile DIR store
-// written by the continuous profiler. Exit status: 0 = report written
+// run records them). Exit status: 0 = report written
 // (and SLOs green, if any), 1 = usage or I/O error, 2 = SLO breach with
 // -fail-on-breach.
 package main
@@ -44,8 +43,6 @@ func main() {
 	var (
 		manifestPath = flag.String("manifest", "", "run manifest (JSONL) to fold into the report")
 		flightPath   = flag.String("flight", "", "flight log (JSONL) to fold into the report")
-		profileDir   = flag.String("profile", "", "continuous-profiling store directory to fold into the report")
-		topN         = flag.Int("top", 10, "rows in the profile section's top-functions table")
 		rules        = flag.String("slo", "", "semicolon-separated SLO rules replayed over the flight log")
 		format       = flag.String("format", "md", "report format: md or json")
 		out          = flag.String("out", "", "output file (default stdout)")
@@ -57,8 +54,8 @@ func main() {
 	flag.Parse()
 	logx.SetPrefix("obsreport")
 	logx.SetLevel(telemetry.LevelFromFlags(*verbose, *quiet))
-	if *manifestPath == "" && *flightPath == "" && *profileDir == "" {
-		logx.Errorf("usage: obsreport -manifest FILE, -flight FILE and/or -profile DIR [flags]")
+	if *manifestPath == "" && *flightPath == "" {
+		logx.Errorf("usage: obsreport -manifest FILE and/or -flight FILE [flags]")
 		os.Exit(1)
 	}
 	if *format != "md" && *format != "json" {
@@ -95,13 +92,6 @@ func main() {
 	} else if *rules != "" {
 		fatal(fmt.Errorf("-slo needs a -flight log to replay against"))
 	}
-	if *profileDir != "" {
-		sec, err := buildProfileSection(*profileDir, *topN)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Profile = sec
-	}
 
 	var body string
 	if *format == "json" {
@@ -133,7 +123,6 @@ type Report struct {
 	Manifest *telemetry.Manifest `json:"manifest,omitempty"`
 	Flight   *FlightSection      `json:"flight,omitempty"`
 	Runtime  *RuntimeSection     `json:"runtime,omitempty"`
-	Profile  *ProfileSection     `json:"profile,omitempty"`
 	SLO      *slo.Verdict        `json:"slo,omitempty"`
 }
 
@@ -204,69 +193,6 @@ func frameSeries(lg *flight.Log, name string, value func(telemetry.Snapshot) flo
 	ms.Last = ms.Values[len(ms.Values)-1]
 	ms.Spark = sparkline(ms.Values)
 	return &ms
-}
-
-// ProfileSection summarises a continuous-profiling store: coverage,
-// top-N CPU functions, and the experiment-label attribution the CI
-// baseline gates on.
-type ProfileSection struct {
-	Dir         string           `json:"dir"`
-	Header      prof.StoreHeader `json:"header"`
-	LiveSets    int              `json:"live_sets"`
-	EvictedSets int              `json:"evicted_sets"`
-	Kinds       []string         `json:"kinds"`
-	CPUWindows  int              `json:"cpu_windows"`
-	// TotalCPUNanos is the sampled CPU total across all windows;
-	// Attribution is the fraction of it carrying an experiment label.
-	TotalCPUNanos int64            `json:"total_cpu_nanos"`
-	Attribution   float64          `json:"label_attribution"`
-	Top           []prof.FuncTotal `json:"top_functions,omitempty"`
-	Keys          []KeyAttribution `json:"keys,omitempty"`
-}
-
-// KeyAttribution is one label key's share of the sampled CPU, with its
-// busiest values.
-type KeyAttribution struct {
-	Key        string            `json:"key"`
-	LabeledPct float64           `json:"labeled_pct"`
-	Top        []prof.LabelTotal `json:"top,omitempty"`
-}
-
-func buildProfileSection(dir string, topN int) (*ProfileSection, error) {
-	st, err := prof.ReadStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	cpus, err := st.Profiles(prof.KindCPU)
-	if err != nil {
-		return nil, err
-	}
-	sec := &ProfileSection{
-		Dir:         dir,
-		Header:      st.Header,
-		LiveSets:    len(st.Live()),
-		EvictedSets: len(st.Sets) - len(st.Live()),
-		Kinds:       st.Kinds(),
-		CPUWindows:  len(cpus),
-	}
-	sec.Top, sec.TotalCPUNanos = prof.TopFunctions(cpus, "cpu", topN)
-	sec.Attribution, _, _ = prof.Attribution(cpus, prof.Keys, "cpu")
-	for _, key := range prof.Keys {
-		rows, labeled, total := prof.ByLabel(cpus, key, "cpu")
-		if len(rows) == 0 {
-			continue
-		}
-		ka := KeyAttribution{Key: key}
-		if total > 0 {
-			ka.LabeledPct = 100 * float64(labeled) / float64(total)
-		}
-		if len(rows) > 5 {
-			rows = rows[:5]
-		}
-		ka.Top = rows
-		sec.Keys = append(sec.Keys, ka)
-	}
-	return sec, nil
 }
 
 // FlightSection summarises a flight log: identity, coverage, and one

@@ -140,45 +140,6 @@ func TestRuntimeSection(t *testing.T) {
 	}
 }
 
-func TestProfileSection(t *testing.T) {
-	dir := t.TempDir()
-	p := &prof.Profile{
-		SampleTypes: []prof.ValueType{{Type: "cpu", Unit: "nanoseconds"}},
-		Samples: []prof.Sample{
-			{Stack: []string{"mux.lindleyStep", "mux.Run"}, Values: []int64{900},
-				Labels: map[string]string{prof.KeyFigure: "fig8", prof.KeyPath: "chunked"}},
-			{Stack: []string{"runtime.gcBgMarkWorker"}, Values: []int64{100}},
-		},
-	}
-	w, err := prof.CreateStore(dir, prof.StoreHeader{Tool: "test"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.WriteSet(1.0, map[string][]byte{prof.KindCPU: prof.Encode(p)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	sec, err := buildProfileSection(dir, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sec.Attribution != 0.9 { //lint:floateq 900 of 1000 synthetic nanos is exact
-		t.Errorf("attribution = %v, want 0.9", sec.Attribution)
-	}
-	if sec.CPUWindows != 1 || sec.LiveSets != 1 {
-		t.Errorf("coverage: %+v", sec)
-	}
-	md := Report{Profile: sec}.Markdown()
-	for _, want := range []string{"## Profile attribution", "mux.lindleyStep", "90.0%", "figure", "fig8"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if got := sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7}); got != "▁▂▃▄▅▆▇█" {
 		t.Errorf("ramp sparkline %q", got)

@@ -52,9 +52,6 @@ func (r Report) Markdown() string {
 	if r.Runtime != nil {
 		writeRuntimeSection(&b, r.Runtime)
 	}
-	if r.Profile != nil {
-		writeProfileSection(&b, r.Profile)
-	}
 	if r.SLO != nil {
 		writeSLOSection(&b, r)
 	}
@@ -74,41 +71,6 @@ func writeRuntimeSection(b *strings.Builder, rt *RuntimeSection) {
 		}
 		fmt.Fprintf(b, "| `%s` | `%s` | %.4g | %.4g | %.4g |\n",
 			ms.Name, ms.Spark, ms.Min, ms.Max, ms.Last)
-	}
-}
-
-// writeProfileSection renders the continuous-profiling store summary:
-// top-N CPU functions and the experiment-label attribution table.
-func writeProfileSection(b *strings.Builder, p *ProfileSection) {
-	fmt.Fprintf(b, "\n## Profile attribution\n\n")
-	fmt.Fprintf(b, "Store `%s`: %d live sets (%d evicted), kinds %v, %d CPU windows totalling %.3fs sampled (tool `%s`, revision `%s`).\n",
-		p.Dir, p.LiveSets, p.EvictedSets, p.Kinds, p.CPUWindows,
-		float64(p.TotalCPUNanos)/1e9, p.Header.Tool, p.Header.GitRevision)
-	fmt.Fprintf(b, "\n**%.1f%%** of sampled CPU carries an experiment label.\n", 100*p.Attribution)
-	if len(p.Top) > 0 {
-		fmt.Fprintf(b, "\n| function | flat | flat%% | cum |\n|---|---|---|---|\n")
-		for _, fn := range p.Top {
-			pctv := 0.0
-			if p.TotalCPUNanos > 0 {
-				pctv = 100 * float64(fn.Flat) / float64(p.TotalCPUNanos)
-			}
-			fmt.Fprintf(b, "| `%s` | %.3fs | %.1f%% | %.3fs |\n",
-				fn.Name, float64(fn.Flat)/1e9, pctv, float64(fn.Cum)/1e9)
-		}
-	}
-	if len(p.Keys) > 0 {
-		fmt.Fprintf(b, "\n| label key | labelled | busiest values |\n|---|---|---|\n")
-		for _, ka := range p.Keys {
-			vals := make([]string, 0, len(ka.Top))
-			for _, lt := range ka.Top {
-				share := 0.0
-				if p.TotalCPUNanos > 0 {
-					share = 100 * float64(lt.Total) / float64(p.TotalCPUNanos)
-				}
-				vals = append(vals, fmt.Sprintf("%s (%.1f%%)", lt.Value, share))
-			}
-			fmt.Fprintf(b, "| `%s` | %.1f%% | %s |\n", ka.Key, ka.LabeledPct, strings.Join(vals, ", "))
-		}
 	}
 }
 

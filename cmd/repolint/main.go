@@ -24,8 +24,7 @@
 //	repolint -sarif out.sarif               # SARIF 2.1.0 for CI code scanning
 //	repolint -baseline lint_baseline.json   # suppress known findings
 //	repolint -write-baseline lint_baseline.json   # accept current findings
-//	repolint -run seedflow,hotalloc         # subset of the suite
-//	repolint -write-escape-budget           # re-baseline hot-path escapes
+//	repolint -run seedflow,floateq          # subset of the suite
 package main
 
 import (
@@ -54,9 +53,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	baselinePath := fs.String("baseline", "", "suppress findings matching this baseline file")
 	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
-	writeEscapes := fs.Bool("write-escape-budget", false, "re-baseline results/golden/escape_budget.json from the current hot-path escapes and exit")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: repolint [-C dir] [-list] [-run names] [-json] [-sarif file] [-baseline file] [-write-baseline file] [-write-escape-budget] [packages]")
+		fmt.Fprintln(stderr, "usage: repolint [-C dir] [-list] [-run names] [-json] [-sarif file] [-baseline file] [-write-baseline file] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -90,10 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if abs, err := filepath.Abs(root); err == nil {
 		root = abs
-	}
-
-	if *writeEscapes {
-		return regenEscapeBudget(root, stdout, stderr)
 	}
 
 	diags, err := analysis.LintModuleWith(root, analyzers, analysis.RunOptions{Now: time.Now()})
@@ -179,40 +173,6 @@ func analyzerNames(analyzers []*analysis.Analyzer) []string {
 		names[i] = a.Name
 	}
 	return names
-}
-
-// regenEscapeBudget recomputes the hot-path escape baseline. The hot-path
-// set is taken from the existing budget file when present, else the
-// repository default, so a re-baseline never silently drops a package
-// from the fence.
-func regenEscapeBudget(root string, stdout, stderr io.Writer) int {
-	hotPaths := analysis.DefaultHotPaths
-	if existing, err := analysis.LoadEscapeBudget(root); err != nil {
-		fmt.Fprintln(stderr, "repolint:", err)
-		return 2
-	} else if existing != nil && len(existing.HotPaths) > 0 {
-		hotPaths = existing.HotPaths
-	}
-	budget, err := analysis.BuildEscapeBudget(root, hotPaths)
-	if err != nil {
-		fmt.Fprintln(stderr, "repolint:", err)
-		return 2
-	}
-	if err := analysis.WriteEscapeBudget(root, budget); err != nil {
-		fmt.Fprintln(stderr, "repolint:", err)
-		return 2
-	}
-	total := 0
-	for _, fns := range budget.Budgets {
-		for _, msgs := range fns {
-			for _, n := range msgs {
-				total += n
-			}
-		}
-	}
-	fmt.Fprintf(stdout, "repolint: escape budget re-baselined: %d site(s) across %d hot package(s) (%s)\n",
-		total, len(hotPaths), budget.Go)
-	return 0
 }
 
 func findModuleRoot() (string, error) {

@@ -12,7 +12,7 @@ import (
 
 // suiteNames derives the expected analyzer set from the registry itself:
 // the suite contract (exact names and order) is pinned once, in
-// internal/analysis's TestSuiteRegistersNineAnalyzers, and every other
+// internal/analysis's TestSuiteRegistersEightAnalyzers, and every other
 // consumer — this multichecker included — follows the registry.
 func suiteNames() []string {
 	var names []string
@@ -53,10 +53,7 @@ func brokenmodDir(t *testing.T) string {
 
 // TestBrokenModuleFailsEveryAnalyzer lints a fixture module carrying
 // one violation per analyzer: the exit code must be non-zero and every
-// analyzer must appear among the findings. For hotalloc this is the
-// tentpole's exit-code proof: the fixture commits an empty escape budget
-// over a package with a guaranteed heap escape, so a hot-path allocation
-// regression demonstrably fails the lint gate.
+// analyzer must appear among the findings.
 func TestBrokenModuleFailsEveryAnalyzer(t *testing.T) {
 	var stdout, stderr strings.Builder
 	code := run([]string{"-C", brokenmodDir(t)}, &stdout, &stderr)

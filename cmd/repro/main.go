@@ -9,7 +9,7 @@
 //	repro [-exp all|table1,fig1,...,fig10] [-reps N] [-frames N]
 //	      [-seed N] [-out DIR] [-csv] [-workers N] [-checkpoint FILE]
 //	      [-telemetry ADDR] [-flight FILE] [-flight-interval DUR] [-slo RULES]
-//	      [-profile DIR] [-profile-interval DUR]
+//	      [-cpuprofile FILE]
 //
 // Simulation replications fan out over -workers cores (default: all);
 // results are bit-identical for every worker count. With -checkpoint,
@@ -31,13 +31,13 @@
 // serves the recent history at /vars/history on the -telemetry endpoint.
 // With -slo RULES (see internal/telemetry/slo for the grammar) each
 // snapshot is evaluated online and any breached rule fails the run with
-// exit status 3. With -profile DIR the continuous profiler captures
-// periodic CPU windows plus heap/goroutine snapshots into a bounded
-// on-disk store, each sample labelled with the figure/model/sweep-point/
-// path/lane it was spent on (inspect with profdiff or obsreport
-// -profile). -v/-quiet raise/lower log verbosity. None of these sinks
-// perturbs results: fixed-seed outputs are bit-identical with every
-// combination on or off.
+// exit status 3. With -cpuprofile FILE the whole run is CPU-profiled,
+// each sample labelled with the figure/model/sweep-point/path/lane it
+// was spent on; read it with go tool pprof (-top, -tags,
+// -tagfocus=figure=fig8, -diff_base). The profile is written even when
+// the run fails or is interrupted. -v/-quiet raise/lower log verbosity.
+// None of these sinks perturbs results: fixed-seed outputs are
+// bit-identical with every combination on or off.
 package main
 
 import (
@@ -54,6 +54,7 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/experiments"
+	"repro/internal/models"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/obs"
@@ -62,6 +63,10 @@ import (
 )
 
 var logx = telemetry.Log
+
+// sess is the run's observability session, kept where fatal can stop its
+// CPU profile before exiting.
+var sess *obs.Session
 
 func main() {
 	var (
@@ -120,7 +125,8 @@ func main() {
 	// The flight recorder and online SLO evaluation only read the registry,
 	// so results stay bit-identical with them on or off (CI diffs the smoke
 	// manifests at rtol 0 to prove it).
-	sess, err := obsFlags.Start(telemetry.Default, "repro")
+	var err error
+	sess, err = obsFlags.Start(telemetry.Default, "repro")
 	if err != nil {
 		fatal(err)
 	}
@@ -176,10 +182,14 @@ func main() {
 	all := want["all"]
 	selected := func(id string) bool { return all || want[id] }
 
+	// Every pass runs under its figure's profiling label, so CPU samples
+	// from any goroutine it starts attribute back to the figure being
+	// regenerated.
 	if selected("table1") {
 		t0 := time.Now()
 		sp := tracer.Root("table1")
-		tab, err := experiments.Table1()
+		var tab *models.Table1
+		prof.Do(ctx, prof.Labels{Figure: "table1"}, func(context.Context) { tab, err = experiments.Table1() })
 		sp.End()
 		if err != nil {
 			fatal(err)
@@ -190,58 +200,42 @@ func main() {
 		}
 	}
 
-	// Simulation-backed drivers receive the figure's root span through
-	// SimConfig so sweeps, replications and mux chunks nest below it;
-	// analytic drivers just run inside the span's extent. The figure id
-	// also becomes the outermost profiling label, so CPU samples from any
-	// worker goroutine attribute back to the figure being regenerated.
-	withSpan := func(id string, sp trace.Span) experiments.SimConfig {
-		s := sim
-		s.Span = sp
-		s.Ctx = prof.WithLabels(ctx, prof.Labels{Figure: id})
-		return s
-	}
+	// Simulation-backed drivers receive the labelled context and the
+	// figure's root span through SimConfig, so sweeps, replications and
+	// mux chunks nest below it; analytic drivers just run inside the
+	// span's extent.
 	type driver struct {
 		id  string
-		run func(sp trace.Span) ([]*experiments.Result, error)
+		run func(experiments.SimConfig) ([]*experiments.Result, error)
 	}
-	analytic := func(fn func() ([]*experiments.Result, error)) func(trace.Span) ([]*experiments.Result, error) {
-		return func(trace.Span) ([]*experiments.Result, error) { return fn() }
+	analytic := func(fn func() ([]*experiments.Result, error)) func(experiments.SimConfig) ([]*experiments.Result, error) {
+		return func(experiments.SimConfig) ([]*experiments.Result, error) { return fn() }
+	}
+	single := func(fn func(experiments.SimConfig) (*experiments.Result, error)) func(experiments.SimConfig) ([]*experiments.Result, error) {
+		return func(s experiments.SimConfig) ([]*experiments.Result, error) {
+			r, err := fn(s)
+			return []*experiments.Result{r}, err
+		}
 	}
 	drivers := []driver{
 		{"fig1", analytic(experiments.Fig1)},
-		{"fig2", func(trace.Span) ([]*experiments.Result, error) {
-			r, err := experiments.Fig2(500, *seed)
-			return []*experiments.Result{r}, err
-		}},
+		{"fig2", single(func(experiments.SimConfig) (*experiments.Result, error) { return experiments.Fig2(500, *seed) })},
 		{"fig3", analytic(experiments.Fig3)},
 		{"fig4", analytic(experiments.Fig4)},
 		{"fig5", analytic(experiments.Fig5)},
 		{"fig6", analytic(experiments.Fig6)},
 		{"fig7", analytic(experiments.Fig7)},
-		{"fig8", func(sp trace.Span) ([]*experiments.Result, error) { return experiments.Fig8(withSpan("fig8", sp)) }},
-		{"fig9", func(sp trace.Span) ([]*experiments.Result, error) { return experiments.Fig9(withSpan("fig9", sp)) }},
-		{"fig10", func(sp trace.Span) ([]*experiments.Result, error) {
-			r, err := experiments.Fig10(withSpan("fig10", sp))
-			return []*experiments.Result{r}, err
-		}},
+		{"fig8", experiments.Fig8},
+		{"fig9", experiments.Fig9},
+		{"fig10", single(experiments.Fig10)},
 		// Extensions beyond the published evaluation (paper §6 directions);
 		// included in -exp all.
 		{"extmpeg", analytic(experiments.ExtMPEG)},
 		{"extsub", analytic(experiments.ExtSubstrates)},
 		{"extweibull", analytic(experiments.ExtWeibull)},
-		{"extmarg", func(sp trace.Span) ([]*experiments.Result, error) {
-			r, err := experiments.ExtMarginals(withSpan("extmarg", sp))
-			return []*experiments.Result{r}, err
-		}},
-		{"extflr", func(sp trace.Span) ([]*experiments.Result, error) {
-			r, err := experiments.ExtFLR(withSpan("extflr", sp))
-			return []*experiments.Result{r}, err
-		}},
-		{"extloop", func(sp trace.Span) ([]*experiments.Result, error) {
-			r, err := experiments.ExtClosedLoop(withSpan("extloop", sp))
-			return []*experiments.Result{r}, err
-		}},
+		{"extmarg", single(experiments.ExtMarginals)},
+		{"extflr", single(experiments.ExtFLR)},
+		{"extloop", single(experiments.ExtClosedLoop)},
 	}
 	for _, d := range drivers {
 		if !selected(d.id) {
@@ -253,7 +247,12 @@ func main() {
 		logx.Infof("running %s...", d.id)
 		t0 := time.Now()
 		sp := tracer.Root(d.id)
-		results, err := d.run(sp)
+		var results []*experiments.Result
+		prof.Do(ctx, prof.Labels{Figure: d.id}, func(ctx context.Context) {
+			s := sim
+			s.Ctx, s.Span = ctx, sp
+			results, err = d.run(s)
+		})
 		sp.End()
 		if manifest != nil {
 			rec := telemetry.StageRecord{ID: d.id, WallSeconds: time.Since(t0).Seconds()}
@@ -363,7 +362,12 @@ func emitText(id, text, outDir string) {
 	}
 }
 
+// fatal logs err and exits 1, stopping the CPU profile first so a failed
+// or interrupted run still leaves a readable profile.
 func fatal(err error) {
 	logx.Errorf("%v", err)
+	if perr := sess.StopProfile(); perr != nil {
+		logx.Errorf("cpu profile: %v", perr)
+	}
 	os.Exit(1)
 }

@@ -1,7 +1,7 @@
 // Package analysis is the repository's static-analysis framework: a
 // deliberately small, dependency-free mirror of the
 // golang.org/x/tools/go/analysis API (Analyzer, Pass, Diagnostic) plus
-// the nine analyzers that encode this codebase's determinism and
+// the eight analyzers that encode this codebase's determinism and
 // observability invariants. The toolchain image carries no module cache,
 // so rather than vendoring x/tools (~10k files) the framework is built
 // directly on the standard library's go/ast, go/parser and go/types; the
@@ -29,11 +29,6 @@
 //     constructor is data-flow-reachable from internal/seed, a
 //     caller-supplied parameter, a Seed config field or a flag — an
 //     untracked entropy source silently breaks replay determinism.
-//   - hotalloc:    heap-escape sites in the declared hot-path packages
-//     stay within the committed escape budget
-//     (results/golden/escape_budget.json) — a stray allocation in the
-//     mux/fgn/fbndp inner loops costs more than any micro-optimisation
-//     recovers.
 //
 // Waivers: a line comment of the form
 //
@@ -91,9 +86,6 @@ type RunOptions struct {
 	Known map[string]bool
 	// Resolver provides cross-package syntax for flow analyses.
 	Resolver Resolver
-	// ModuleDir is the module root, used by analyzers that consult
-	// per-module artifacts (the hotalloc escape budget).
-	ModuleDir string
 }
 
 // A Pass provides one analyzer with one type-checked package and a sink
@@ -111,10 +103,9 @@ type Pass struct {
 	// import path, so fixture modules exercise the same rules.
 	RelPath string
 
-	// Resolver and ModuleDir mirror RunOptions for analyzers that need
-	// them; either may be zero when a pass runs standalone.
-	Resolver  Resolver
-	ModuleDir string
+	// Resolver mirrors RunOptions.Resolver; it is nil when a pass runs
+	// standalone.
+	Resolver Resolver
 
 	report  func(Diagnostic)
 	waivers *waiverSet
@@ -139,13 +130,7 @@ func (d Diagnostic) String() string {
 // Reportf records a diagnostic at pos unless a //lint:<name> waiver
 // covers the position's line (or the line above it).
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportPosf(p.Fset.Position(pos), format, args...)
-}
-
-// ReportPosf is Reportf for analyzers whose findings originate outside
-// the fileset — hotalloc's positions come from compiler diagnostics, not
-// AST nodes. Waivers apply identically.
-func (p *Pass) ReportPosf(position token.Position, format string, args ...any) {
+	position := p.Fset.Position(pos)
 	if p.waivers.waivedAt(p.Analyzer.Name, position) {
 		return
 	}

@@ -251,7 +251,6 @@ func RunAnalyzers(pkg *Package, fset *token.FileSet, analyzers []*Analyzer, opts
 			TypesInfo: pkg.Info,
 			RelPath:   pkg.RelPath,
 			Resolver:  opts.Resolver,
-			ModuleDir: opts.ModuleDir,
 			report:    report,
 			waivers:   waivers,
 		}
@@ -321,7 +320,6 @@ func LintModuleWith(dir string, analyzers []*Analyzer, opts RunOptions) ([]Diagn
 		return nil, err
 	}
 	opts.Resolver = l
-	opts.ModuleDir = l.Dir
 	var all []Diagnostic
 	for _, path := range l.ModulePackages() {
 		pkg, err := l.Load(path)

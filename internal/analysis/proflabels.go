@@ -14,10 +14,10 @@ import (
 const profOwner = "internal/telemetry/prof"
 
 // profLabelKeys is the fixed label key set, mirroring prof.Keys in
-// internal/telemetry/prof. Profiles aggregate across runs and tools;
-// an ad-hoc key would fragment attribution (cmd/profdiff's labelled-CPU
-// floor counts only these keys), so a literal key outside this set is a
-// finding even inside the owner package.
+// internal/telemetry/prof. An ad-hoc key would fragment attribution
+// (`go tool pprof -tags` would split one coordinate across two keys), so
+// a literal key outside this set is a finding even inside the owner
+// package.
 var profLabelKeys = map[string]bool{
 	"figure":      true,
 	"sweep_point": true,

@@ -141,7 +141,8 @@ func (m *Model) ACF(k int) float64 {
 type generator struct {
 	m     *Model
 	rng   *rand.Rand
-	sqrtL []float64 // sqrt of circulant eigenvalues, length 2n
+	sqrtL []float64    // sqrt of circulant eigenvalues, length 2n
+	w     []complex128 // FFT scratch, length 2n; fully rewritten per block
 	block []float64
 	pos   int
 }
@@ -209,7 +210,10 @@ func eigenvalues(m *Model, n int) []float64 {
 // fill synthesises the next exact block of n samples.
 func (g *generator) fill(n int) {
 	two := 2 * n
-	w := make([]complex128, two)
+	if len(g.w) != two {
+		g.w = make([]complex128, two)
+	}
+	w := g.w
 	norm := 1 / math.Sqrt(float64(two))
 	w[0] = complex(g.sqrtL[0]*g.rng.NormFloat64()*norm, 0)
 	w[n] = complex(g.sqrtL[n]*g.rng.NormFloat64()*norm, 0)

@@ -18,7 +18,6 @@
 package mginf
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -135,19 +134,44 @@ func (m *Model) ACF(k int) float64 {
 	return math.Pow(t/s0, 1-g) / g
 }
 
-// expiryHeap is a min-heap of session expiry times.
+// expiryHeap is a min-heap of session expiry times. It is typed rather
+// than built on container/heap, whose interface{} Push and Pop box every
+// float64; push and pop follow container/heap's sift steps exactly, so
+// the heap layout, and every popped minimum, is the same.
 type expiryHeap []float64
 
-func (h expiryHeap) Len() int            { return len(h) }
-func (h expiryHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h expiryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *expiryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *expiryHeap) push(x float64) {
+	*h = append(*h, x)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(q[j] < q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *expiryHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r] < q[j] {
+			j = r
+		}
+		if !(q[j] < q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
 }
 
 // generator simulates the session process and samples occupancy at frame
@@ -167,7 +191,7 @@ func (m *Model) NewGenerator(seed int64) traffic.Generator {
 	g := &generator{p: m.P, rng: rng}
 	n := randx.Poisson(rng, m.P.Occupancy())
 	for i := int64(0); i < n; i++ {
-		heap.Push(&g.exp, g.sampleResidual())
+		g.exp.push(g.sampleResidual())
 	}
 	return g
 }
@@ -217,12 +241,12 @@ func (g *generator) frame() float64 {
 		at := g.now + g.rng.Float64()*g.p.Ts
 		end := at + g.sampleHold()
 		if end > next {
-			heap.Push(&g.exp, end)
+			g.exp.push(end)
 		}
 	}
 	g.now = next
-	for g.exp.Len() > 0 && g.exp[0] <= g.now {
-		heap.Pop(&g.exp)
+	for len(g.exp) > 0 && g.exp[0] <= g.now {
+		g.exp.pop()
 	}
-	return g.p.Rate * float64(g.exp.Len())
+	return g.p.Rate * float64(len(g.exp))
 }

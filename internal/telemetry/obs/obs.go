@@ -1,12 +1,12 @@
 // Package obs is the command-line glue between the flight recorder
 // (internal/telemetry/flight), the SLO engine (internal/telemetry/slo)
-// and the continuous profiler (internal/telemetry/prof): one flag set,
+// and the whole-run CPU profile (internal/telemetry/prof): one flag set,
 // one Start call, one Finish call, shared by every CLI so `-flight`,
-// `-flight-interval`, `-slo`, `-profile` and `-profile-interval` mean
-// the same thing in repro and atmsim.
+// `-flight-interval`, `-slo` and `-cpuprofile` mean the same thing in
+// repro and atmsim.
 //
 // The packages stay decoupled — flight knows nothing of SLO rules or
-// profile stores, slo knows nothing of recording cadence — and meet only
+// profiles, slo knows nothing of recording cadence — and meet only
 // here, through the recorder's hooks: each snapshot is fed to the engine
 // as it is taken (OnFrame), so breaches increment slo_* counters online
 // (visible on /metrics mid-run) rather than in a post-hoc replay, and
@@ -24,12 +24,15 @@
 //	...
 //	if !sess.Finish() { os.Exit(3) }    // stop, log verdict, gate exit
 //
+// A CLI that exits early (a fatal error, an interrupt) calls
+// sess.StopProfile before os.Exit, so the CPU profile is still written.
 // Every method on *Session is nil-safe, so callers need no "is
 // observability on" branches: a nil session routes nothing and finishes
 // clean.
 package obs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"time"
@@ -48,11 +51,9 @@ type Flags struct {
 	Interval time.Duration
 	// Rules is the -slo flag: a semicolon-separated slo.ParseList input.
 	Rules string
-	// ProfileDir is the -profile flag: the continuous-profiling store
-	// directory.
-	ProfileDir string
-	// ProfileInterval is the -profile-interval flag: the capture cadence.
-	ProfileInterval time.Duration
+	// CPUProfile is the -cpuprofile flag: the whole-run CPU profile
+	// destination.
+	CPUProfile string
 }
 
 // sloExample is the -slo usage example. It uses only value() rules on
@@ -60,43 +61,41 @@ type Flags struct {
 // a quantile rule on a metric the run never observes fails the verdict.
 const sloExample = "value(conv_nonfinite_total) == 0; value(mux_cells_lost_total) within [0, 1e6]"
 
-// AddFlags registers -flight, -flight-interval, -slo, -profile and
-// -profile-interval on the default flag set and returns the value
-// holder. Call before flag.Parse.
+// AddFlags registers -flight, -flight-interval, -slo and -cpuprofile on
+// the default flag set and returns the value holder. Call before
+// flag.Parse.
 func AddFlags() *Flags {
 	f := &Flags{}
 	flag.StringVar(&f.Path, "flight", "", "record a delta-encoded JSONL flight log of periodic metric snapshots to this file (replay with obsreport); empty = off")
 	flag.DurationVar(&f.Interval, "flight-interval", flight.DefaultInterval, "flight recorder snapshot cadence (min 10ms)")
 	flag.StringVar(&f.Rules, "slo", "", "semicolon-separated SLO rules evaluated against each snapshot, e.g. '"+sloExample+"'; any breach fails the run")
-	flag.StringVar(&f.ProfileDir, "profile", "", "capture continuous CPU/heap/goroutine profiles into this store directory (inspect with profdiff/obsreport); empty = off")
-	flag.DurationVar(&f.ProfileInterval, "profile-interval", prof.DefaultCollectInterval, "continuous-profiling capture cadence (min 100ms); each capture opens a CPU window of half the cadence")
+	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a whole-run CPU profile, labelled by figure/sweep_point/model/path/lane, to this file (read with go tool pprof); empty = off")
 	return f
 }
 
 // Session is a live recorder (always) plus an SLO engine (with -slo) and
-// a profile collector (with -profile). A nil *Session is valid and
-// inert.
+// a CPU profile (with -cpuprofile). A nil *Session is valid and inert.
 type Session struct {
-	Rec  *flight.Recorder
-	Eng  *slo.Engine     // nil without -slo
-	Prof *prof.Collector // nil without -profile
+	Rec *flight.Recorder
+	Eng *slo.Engine // nil without -slo
 
-	tool string
-	path string
+	path    string
+	cpuPath string
+	stopCPU func() error // nil without -cpuprofile, or once stopped
 }
 
 // Start launches the recorder — and the online SLO evaluation when rules
-// were given, and the profile collector when a store dir was given —
-// against reg. Returns (nil, nil) when all flags are off: observability
-// not requested. SLO rules or a profile dir without a -flight path are
-// valid (the recorder then keeps only its in-memory ring). Any session
+// were given, and the CPU profile when a file was given — against reg.
+// Returns (nil, nil) when all flags are off: observability not
+// requested. SLO rules or a CPU profile without a -flight path are valid
+// (the recorder then keeps only its in-memory ring). Any session
 // also attaches the runtime/metrics bridge, so every frame — and every
 // SLO evaluation — sees fresh go_* runtime-health metrics.
 func (f *Flags) Start(reg *telemetry.Registry, tool string) (*Session, error) {
-	if f == nil || (f.Path == "" && f.Rules == "" && f.ProfileDir == "") {
+	if f == nil || (f.Path == "" && f.Rules == "" && f.CPUProfile == "") {
 		return nil, nil
 	}
-	s := &Session{tool: tool, path: f.Path}
+	s := &Session{path: f.Path, cpuPath: f.CPUProfile}
 	if f.Rules != "" {
 		rules, err := slo.ParseList(f.Rules)
 		if err != nil {
@@ -120,24 +119,16 @@ func (f *Flags) Start(reg *telemetry.Registry, tool string) (*Session, error) {
 	// carries live gauges.
 	bridge := prof.NewRuntimeBridge(reg)
 	opts.BeforeSnapshot = bridge.Poll
-	if f.ProfileDir != "" {
-		col, err := prof.StartCollector(prof.CollectorOptions{
-			Dir:      f.ProfileDir,
-			Interval: f.ProfileInterval,
-			Tool:     tool,
-			Registry: reg,
-		})
+	if f.CPUProfile != "" {
+		stop, err := prof.StartCPUProfile(f.CPUProfile)
 		if err != nil {
-			return nil, fmt.Errorf("-profile: %w", err)
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
 		}
-		s.Prof = col
+		s.stopCPU = stop
 	}
 	rec, err := flight.Start(reg, opts)
 	if err != nil {
-		if s.Prof != nil {
-			s.Prof.Stop()
-		}
-		return nil, err
+		return nil, errors.Join(err, s.StopProfile())
 	}
 	s.Rec = rec
 	telemetry.Log.Infof("flight recorder on (interval %v%s)", opts.Interval, describeSinks(f))
@@ -153,8 +144,8 @@ func describeSinks(f *Flags) string {
 	if f.Rules != "" {
 		out += ", slo online"
 	}
-	if f.ProfileDir != "" {
-		out += ", profiles " + f.ProfileDir
+	if f.CPUProfile != "" {
+		out += ", cpu profile " + f.CPUProfile
 	}
 	return out
 }
@@ -168,11 +159,22 @@ func (s *Session) Routes() []telemetry.Route {
 	return []telemetry.Route{{Pattern: "/vars/history", Handler: s.Rec.HistoryHandler()}}
 }
 
-// Finish stops the recorder (recording the final frame) and the profile
-// collector (capturing the final snapshot set), logs the SLO verdict,
-// and reports whether the run is observability-clean: true when the log
-// and profile store were written intact and no SLO rule failed. Callers
-// gate their exit status on it.
+// StopProfile stops the CPU profile and closes its file, reporting a
+// write or close error. Later calls, and calls on a session without
+// -cpuprofile, do nothing.
+func (s *Session) StopProfile() error {
+	if s == nil || s.stopCPU == nil {
+		return nil
+	}
+	stop := s.stopCPU
+	s.stopCPU = nil
+	return stop()
+}
+
+// Finish stops the recorder (recording the final frame) and the CPU
+// profile, logs the SLO verdict, and reports whether the run is
+// observability-clean: true when the log and the profile were written
+// intact and no SLO rule failed. Callers gate their exit status on it.
 func (s *Session) Finish() bool {
 	if s == nil {
 		return true
@@ -184,13 +186,11 @@ func (s *Session) Finish() bool {
 	} else if s.path != "" {
 		telemetry.Log.Infof("flight log: %d frames in ring, log %s", s.Rec.Len(), s.path)
 	}
-	if s.Prof != nil {
-		if err := s.Prof.Stop(); err != nil {
-			telemetry.Log.Errorf("profile store %s: %v", s.Prof.Dir(), err)
-			ok = false
-		} else {
-			telemetry.Log.Infof("profile store: %s", s.Prof.Dir())
-		}
+	if err := s.StopProfile(); err != nil {
+		telemetry.Log.Errorf("cpu profile %s: %v", s.cpuPath, err)
+		ok = false
+	} else if s.cpuPath != "" {
+		telemetry.Log.Infof("cpu profile: %s (read with go tool pprof)", s.cpuPath)
 	}
 	if s.Eng != nil {
 		v := s.Eng.Verdict()

@@ -6,8 +6,8 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// TestMain gates the package on goroutine leaks: every collector started
-// by a test must be fully reaped by Stop before the test exits.
+// TestMain gates the package on goroutine leaks: nothing a test starts
+// may outlive it.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }

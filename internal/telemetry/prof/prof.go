@@ -1,56 +1,51 @@
 // Package prof is the attribution dimension of the observability layer:
-// continuous profiling with experiment-coordinate labels.
+// pprof goroutine labels drawn from a fixed key set, plus a whole-run CPU
+// profile that carries them.
 //
 // Telemetry (counters, histograms) and spans say how long each stage of a
 // run took; the flight recorder says how that evolved over time. Neither
-// says where the CPU time and allocations actually go. This package
-// closes that gap with four pieces:
+// says where the CPU time goes. This package closes that gap with three
+// small pieces, and leaves reading profiles to `go tool pprof`:
 //
-//  1. Label propagation (this file): the runner and the mux wrap
-//     replication work in Do, which applies pprof goroutine labels drawn
-//     from a FIXED key set — figure, sweep_point, model, path, lane — so
-//     every CPU sample the Go profiler takes is attributable to an
-//     experiment coordinate. The key set is closed on purpose: profiles
-//     aggregate across runs and tools, and ad-hoc keys would fragment
-//     attribution (the proflabels analyzer in internal/analysis enforces
-//     this at lint time).
+//  1. Label propagation (this file): the CLI driver loops, the experiment
+//     drivers, the runner and the mux wrap their work in Do, which applies
+//     pprof goroutine labels drawn from a FIXED key set — figure,
+//     sweep_point, model, path, lane — so every CPU sample the Go profiler
+//     takes is attributable to an experiment coordinate. The key set is
+//     closed on purpose: an ad-hoc key would fragment attribution (the
+//     proflabels analyzer in internal/analysis enforces this at lint
+//     time).
 //
-//  2. A background Collector (collector.go) that captures periodic CPU
-//     windows plus heap/mutex/block/goroutine snapshots into a bounded,
-//     schema-versioned on-disk Store (store.go) with the same
-//     interrupt-safety contract as the flight log: the index is JSONL,
-//     flushed per line, and a torn final line is a valid truncation
-//     point, not corruption.
+//  2. StartCPUProfile (this file): the -cpuprofile flag of repro and
+//     atmsim. The profile is a standard gzipped pprof file, so
+//     `go tool pprof -top`, `-tags`, `-tagfocus=figure=fig8` and
+//     `-diff_base` answer where the time went, per label and between two
+//     runs.
 //
-//  3. A stdlib-only pprof protobuf decoder (pprofpb.go) and aggregator
-//     (agg.go) — in the spirit of internal/analysis mirroring
-//     go/analysis — producing top-N tables by function and by label,
-//     consumed by cmd/profdiff and cmd/obsreport.
-//
-//  4. A runtime/metrics bridge (runtime.go) exporting GC pause
+//  3. A runtime/metrics bridge (runtime.go) exporting GC pause
 //     quantiles, scheduler latency, heap bytes and goroutine counts into
 //     the telemetry registry, so flight frames record them and SLO rules
 //     can watch them (p99(go_gc_pause_seconds) < 0.01,
 //     stalled(go_goroutines)).
 //
-// The same constraints as the flight recorder apply, in the same order:
-// profiling must never perturb results (labels and profiles are pure
-// observation; CI diffs profiled vs unprofiled smoke manifests at
-// rtol 0), must be cheap (goroutine labels are a small map copy per
-// replication, far below the per-replication simulation work; the
-// benchdiff gate holds the mux hot path), and must not leak goroutines
-// (Collector.Stop reaps; tests run under leakcheck.Main).
+// Profiling must never perturb results: labels and profiles are pure
+// observation, and CI diffs profiled against unprofiled smoke manifests
+// at rtol 0. It must also be cheap: goroutine labels are a small map copy
+// per replication, far below the per-replication simulation work.
 package prof
 
 import (
+	"bufio"
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"runtime/pprof"
 )
 
 // The fixed label key set. Every pprof goroutine label this repository
-// attaches uses exactly these keys; cmd/profdiff measures what fraction
-// of CPU samples carry at least one of them (the attribution floor the
-// CI baseline commits to).
+// attaches uses exactly these keys; CI gates the fraction of CPU samples
+// that carry at least one of them (go tool pprof -tagfocus=.).
 const (
 	// KeyFigure is the experiment/figure id (fig8, extloop, ...), set by
 	// the CLI driver loop.
@@ -141,4 +136,29 @@ func WithLabels(ctx context.Context, l Labels) context.Context {
 		return ctx
 	}
 	return pprof.WithLabels(ctx, pprof.Labels(p...))
+}
+
+// StartCPUProfile starts the process-wide CPU profile, written to path
+// (its directory is created if missing, like the flight log's). The
+// returned stop function ends the profile and closes the file, reporting
+// the first write or close error; call it exactly once, on every exit
+// path, or the file stays empty. Starting a second profile while one
+// runs is an error.
+func StartCPUProfile(path string) (stop func() error, err error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	// The profiler drops write errors; bufio keeps the first one for Flush.
+	w := bufio.NewWriter(f)
+	if err := pprof.StartCPUProfile(w); err != nil {
+		return nil, errors.Join(err, f.Close(), os.Remove(path))
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return errors.Join(w.Flush(), f.Close())
+	}, nil
 }

@@ -12,7 +12,8 @@
 //  2. Disabled tracing must be near-free. The zero Span and the nil
 //     *Tracer are valid no-op values: starting a child of a zero Span is
 //     one nil check and returns another zero Span, so instrumented hot
-//     paths pay a single predictable branch when no -trace flag is given.
+//     paths pay a single predictable branch, and no allocation, when no
+//     -trace flag is given: attributes are copied only on an active span.
 //  3. Recording must be cheap enough for per-chunk granularity. A span is
 //     two time.Now calls plus one short mutex-protected append at End;
 //     instrumentation sits at chunk (≤ 4096 frames) and coarser
@@ -26,6 +27,7 @@
 package trace
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,13 +107,14 @@ func (t *Tracer) Root(name string, attrs ...Attr) Span {
 		id:    t.nextID.Add(1),
 		name:  name,
 		start: time.Since(t.t0),
-		attrs: attrs,
+		attrs: appendAttrs(nil, attrs),
 	}
 }
 
 // Child starts a sub-span of s, inheriting s's lane. On the zero Span it
-// is a no-op returning another zero Span — the single branch that makes
-// disabled tracing near-free on chunk-granularity hot paths.
+// is a no-op returning another zero Span — the single branch, with no
+// allocation, that makes disabled tracing near-free on chunk-granularity
+// hot paths.
 func (s Span) Child(name string, attrs ...Attr) Span {
 	if s.tr == nil {
 		return Span{}
@@ -123,7 +126,7 @@ func (s Span) Child(name string, attrs ...Attr) Span {
 		lane:   s.lane,
 		name:   name,
 		start:  time.Since(s.tr.t0),
-		attrs:  attrs,
+		attrs:  appendAttrs(nil, attrs),
 	}
 }
 
@@ -142,8 +145,32 @@ func (s Span) Active() bool { return s.tr != nil }
 // SetAttrs appends annotations to the span before End.
 func (s *Span) SetAttrs(attrs ...Attr) {
 	if s.tr != nil {
-		s.attrs = append(s.attrs, attrs...)
+		s.attrs = appendAttrs(s.attrs, attrs)
 	}
+}
+
+// appendAttrs appends deep copies of attrs to dst: keys and string values
+// are cloned and numbers re-boxed, so no pointer the caller passed is
+// kept. That lets the compiler keep the caller's variadic slice and its
+// boxed values on the stack, which is what makes a disabled span free.
+// A value of any type other than the four constructors' is recorded as
+// nil.
+func appendAttrs(dst, attrs []Attr) []Attr {
+	for _, a := range attrs {
+		c := Attr{Key: strings.Clone(a.Key)}
+		switch v := a.Value.(type) {
+		case string:
+			c.Value = strings.Clone(v)
+		case int:
+			c.Value = v
+		case int64:
+			c.Value = v
+		case float64:
+			c.Value = v
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // End completes the span and records it. End on the zero Span is a no-op;

@@ -37,6 +37,20 @@ func TestDisabledIsNoop(t *testing.T) {
 	}
 }
 
+// TestDisabledSpanAllocatesNothing: the per-chunk call shape of the mux
+// costs no allocation when tracing is off.
+func TestDisabledSpanAllocatesNothing(t *testing.T) {
+	frames := 4096 // above the runtime's preallocated small-integer boxes
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := Span{}.Child("mux fill", Int("frames", frames))
+		sp.SetAttrs(Float("share", 0.5), Int64("cells", int64(frames)))
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Errorf("zero Span Child/SetAttrs/End = %v allocations, want 0", allocs)
+	}
+}
+
 func TestSpanTreeAndLanes(t *testing.T) {
 	tr := New()
 	root := tr.Root("fig8", String("figure", "8"))

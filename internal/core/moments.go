@@ -45,9 +45,11 @@ func Moments(m traffic.Model) *traffic.Moments {
 // CTSMoments computes the critical time scale against a cached moment
 // view: each objective evaluation is O(1) after the one-time lag
 // extension, so sweeping many operating points against one model costs
-// one ACF walk total. The scan and stopping rule are identical to CTS
-// (growFactor 4, slack 64, stopFactor 3), and the results are
-// bit-identical to the incremental VarianceOfSum evaluation.
+// one ACF walk total. The scan reads V(m) from a traffic.Prefix snapshot
+// and locks the view only to take a longer one. The scan and stopping
+// rule are identical to CTS (growFactor 4, slack 64, stopFactor 3), and
+// the results are bit-identical to the incremental VarianceOfSum
+// evaluation.
 func CTSMoments(mo *traffic.Moments, op Operating, maxM int) (CTSResult, error) {
 	if err := op.Validate(mo); err != nil {
 		return CTSResult{}, err
@@ -56,9 +58,13 @@ func CTSMoments(mo *traffic.Moments, op Operating, maxM int) (CTSResult, error) 
 		maxM = DefaultMaxM
 	}
 	drift := op.C - mo.Mean()
+	var pre traffic.Prefix
 	obj := func(m int) float64 {
+		if m > pre.MaxM() {
+			pre = mo.Prefix(m - 1)
+		}
 		num := op.B + float64(m)*drift
-		return num * num / (2 * mo.VarSum(m))
+		return num * num / (2 * pre.VarSum(m))
 	}
 	best, ok := solver.IntArgminSlack(obj, maxM, 4, 64, 3)
 	probeRate.Check(best.Value)

@@ -90,3 +90,26 @@ func TestCTSMomentsBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestCTSMomentsWarmScanAllocatesNothing fences the scan's hot loop:
+// once the view holds the lags a scan needs, a CTS scan reads V(m) from
+// a Prefix snapshot and allocates nothing.
+func TestCTSMomentsWarmScanAllocatesNothing(t *testing.T) {
+	z, err := models.NewZ(0.975)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo := traffic.NewMoments(z)
+	op := Operating{C: 538, B: 1000, N: 30}
+	if _, err := CTSMoments(mo, op, 0); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := CTSMoments(mo, op, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm CTSMoments scan: %v allocations per run, want 0", allocs)
+	}
+}

@@ -146,6 +146,24 @@ func (p *Process) ACF(k int) float64 {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.extendLocked(k)
+	return p.acfMem[k]
+}
+
+// ACFRange implements traffic.ACFRanger: dst[i] = ACF(from+i) for
+// from ≥ 0, copied from the memo under one lock.
+func (p *Process) ACFRange(dst []float64, from int) {
+	if len(dst) == 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.extendLocked(from + len(dst) - 1)
+	copy(dst, p.acfMem[from:])
+}
+
+// extendLocked grows the ACF memo through lag k. Callers must hold p.mu.
+func (p *Process) extendLocked(k int) {
 	if p.acfMem == nil {
 		p.acfMem = p.solveACFBase()
 	}
@@ -156,7 +174,6 @@ func (p *Process) ACF(k int) float64 {
 		}
 		p.acfMem = append(p.acfMem, r)
 	}
-	return p.acfMem[k]
 }
 
 // solveACFBase solves the order-p Yule-Walker system for r(0..p).

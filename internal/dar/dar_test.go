@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/traffic"
+	"repro/internal/traffic/traffictest"
 )
 
 func gauss() Marginal { return GaussianMarginal(500, 5000) }
@@ -47,6 +48,18 @@ func TestDAR1ACFIsGeometric(t *testing.T) {
 	}
 	if got := p.ACF(-3); math.Abs(got-p.ACF(3)) > 1e-15 {
 		t.Fatalf("ACF not symmetric: %v vs %v", got, p.ACF(3))
+	}
+}
+
+// TestACFRangeBitIdentical holds ACFRange, which copies the memo under
+// one lock, to ACF for DAR(1), DAR(2) and DAR(3).
+func TestACFRangeBitIdentical(t *testing.T) {
+	for _, a := range [][]float64{{1}, {0.6, 0.4}, {0.5, 0.3, 0.2}} {
+		p, err := New(0.95, a, gauss())
+		if err != nil {
+			t.Fatal(err)
+		}
+		traffictest.CheckACFRange(t, p)
 	}
 }
 

@@ -7,12 +7,28 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/traffic"
+	"repro/internal/traffic/traffictest"
 )
 
 // zParams are the FBNDP component parameters of the paper's Z^a model
 // (Table 1): α = 0.8, λ = 6250 cells/s, T0 = 2.57 ms, M = 15, Ts = 40 ms.
 func zParams() Params {
 	return Params{Alpha: 0.8, Lambda: 6250, T0: 2.57e-3, M: 15, Ts: 0.04}
+}
+
+// TestACFRangeBitIdentical holds Params.ACFRange, which carries powers
+// forward instead of recomputing them, to ACF bit for bit.
+func TestACFRangeBitIdentical(t *testing.T) {
+	for _, p := range []Params{
+		zParams(),
+		{Alpha: 0.4, Lambda: 12500, T0: 0.4, M: 4, Ts: 0.04},
+	} {
+		m, err := NewModel(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traffictest.CheckACFRange(t, m)
+	}
 }
 
 func TestValidate(t *testing.T) {

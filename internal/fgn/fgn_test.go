@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/traffic"
+	"repro/internal/traffic/traffictest"
 )
 
 func TestNewModelValidation(t *testing.T) {
@@ -38,6 +39,25 @@ func TestACFExactForm(t *testing.T) {
 	if m.ACF(-7) != m.ACF(7) {
 		t.Fatal("ACF not symmetric")
 	}
+}
+
+// TestACFRangeBitIdentical holds ACFRange to ACF bit for bit, for the
+// exact FGN autocorrelation and for a custom one.
+func TestACFRangeBitIdentical(t *testing.T) {
+	for _, h := range []float64{0.7, 0.9} {
+		m, err := NewModel(h, 500, 5000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traffictest.CheckACFRange(t, m)
+	}
+	custom, err := NewGaussianFromACF("geom", 0, 1, func(k int) float64 {
+		return math.Pow(0.9, math.Abs(float64(k)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffictest.CheckACFRange(t, custom)
 }
 
 func TestACFWhiteNoiseCase(t *testing.T) {

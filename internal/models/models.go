@@ -79,8 +79,28 @@ func (c *Composite) V() float64 { return c.X.Variance() / c.Y.Variance() }
 
 // ACF implements traffic.Model (paper Eq. 5).
 func (c *Composite) ACF(k int) float64 {
+	return mixACF(c.X.Variance(), c.Y.Variance(), c.X.ACF(k), c.Y.ACF(k))
+}
+
+// ACFRange implements traffic.ACFRanger: dst[i] = ACF(from+i), bit for
+// bit, for from ≥ 0. It reads the component variances once and combines
+// the components' own ranges, taking the DAR lock once per block of lags.
+func (c *Composite) ACFRange(dst []float64, from int) {
 	vx, vy := c.X.Variance(), c.Y.Variance()
-	return (vx*c.X.ACF(k) + vy*c.Y.ACF(k)) / (vx + vy)
+	c.X.ACFRange(dst, from)
+	var ry [256]float64
+	for off := 0; off < len(dst); off += len(ry) {
+		y := ry[:min(len(ry), len(dst)-off)]
+		c.Y.ACFRange(y, from+off)
+		for i, r := range y {
+			dst[off+i] = mixACF(vx, vy, dst[off+i], r)
+		}
+	}
+}
+
+// mixACF is the variance-weighted mixture (vx·rx + vy·ry)/(vx + vy).
+func mixACF(vx, vy, rx, ry float64) float64 {
+	return (vx*rx + vy*ry) / (vx + vy)
 }
 
 // NewGenerator implements traffic.Model: the sum of independent X and Y

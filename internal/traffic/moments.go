@@ -1,6 +1,9 @@
 package traffic
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Moments is a cached second-order view of a Model: memoised
 // autocorrelations together with their prefix sums, from which the
@@ -19,9 +22,11 @@ import "sync"
 // wrapped model), so it can be passed anywhere a Model is expected. It is
 // safe for concurrent use; Mean and Variance are captured at construction,
 // which assumes the wrapped model's moments are immutable — true for every
-// model in this repository.
+// model in this repository. A scan that reads V(m) many times takes a
+// lock-free Prefix snapshot instead of locking per query.
 type Moments struct {
 	model  Model
+	ranger ACFRanger // model's range method, or nil
 	mean   float64
 	sigma2 float64
 
@@ -37,8 +42,10 @@ func NewMoments(m Model) *Moments {
 	if mo, ok := m.(*Moments); ok {
 		return mo
 	}
+	ranger, _ := m.(ACFRanger)
 	return &Moments{
 		model:  m,
+		ranger: ranger,
 		mean:   m.Mean(),
 		sigma2: m.Variance(),
 		r:      []float64{1},
@@ -64,11 +71,28 @@ func (mo *Moments) NewGenerator(seed int64) Generator {
 	return mo.model.NewGenerator(seed)
 }
 
-// extend grows the memo through lag k. Callers must hold mo.mu.
+// rangeChunk is how many lags past a request extend fills when the model
+// has a range method: enough to amortise the call and the lock over a
+// lag-by-lag scan, few enough that the overshoot costs nothing.
+const rangeChunk = 1024
+
+// extend grows the memo through lag k, or through lag k+rangeChunk when
+// the model has a range method; a model without one is evaluated lag by
+// lag and exactly to k. Callers must hold mo.mu.
 func (mo *Moments) extend(k int) {
-	for lag := len(mo.r); lag <= k; lag++ {
-		rv := mo.model.ACF(lag)
-		mo.r = append(mo.r, rv)
+	from := len(mo.r)
+	if mo.ranger != nil {
+		k += rangeChunk
+	}
+	mo.r = slices.Grow(mo.r, k+1-from)[:k+1]
+	if mo.ranger != nil {
+		mo.ranger.ACFRange(mo.r[from:], from)
+	}
+	for lag := from; lag <= k; lag++ {
+		if mo.ranger == nil {
+			mo.r[lag] = mo.model.ACF(lag)
+		}
+		rv := mo.r[lag]
 		mo.s1 = append(mo.s1, mo.s1[lag-1]+rv)
 		mo.s2 = append(mo.s2, mo.s2[lag-1]+float64(lag)*rv)
 	}
@@ -114,14 +138,43 @@ func (mo *Moments) VarSum(m int) float64 {
 	if m < 1 {
 		return 0
 	}
+	return mo.Prefix(m - 1).VarSum(m)
+}
+
+// Prefix returns a snapshot of the prefix sums through at least lag k,
+// extending the memo first if needed. The snapshot answers V(m) for
+// m ≤ MaxM() without taking the lock, so a scan locks only when it runs
+// past the snapshot and takes a new one.
+//
+// Snapshots stay valid while other goroutines extend the view: extend
+// only appends, so entries below a snapshot's length are never written
+// again, and when an append reallocates, the snapshot keeps the old array.
+func (mo *Moments) Prefix(k int) Prefix {
 	mo.mu.Lock()
-	if m-1 >= len(mo.r) {
-		mo.extend(m - 1)
+	if k >= len(mo.r) {
+		mo.extend(k)
 	}
-	s1, s2 := mo.s1[m-1], mo.s2[m-1]
+	n := len(mo.s1)
+	p := Prefix{sigma2: mo.sigma2, s1: mo.s1[:n:n], s2: mo.s2[:n:n]}
 	mo.mu.Unlock()
+	return p
+}
+
+// Prefix is an immutable snapshot of a Moments view's prefix sums. The
+// zero value holds no lags.
+type Prefix struct {
+	sigma2 float64
+	s1, s2 []float64 // as in Moments, over lags 0..len−1
+}
+
+// MaxM returns the largest m whose V(m) the snapshot holds.
+func (p Prefix) MaxM() int { return len(p.s1) }
+
+// VarSum returns V(m) for 1 ≤ m ≤ MaxM(), bit-identical to
+// Moments.VarSum.
+func (p Prefix) VarSum(m int) float64 {
 	fm := float64(m)
-	return mo.sigma2 * (fm + 2*(fm*s1-s2))
+	return p.sigma2 * (fm + 2*(fm*p.s1[m-1]-p.s2[m-1]))
 }
 
 // AggVariance returns Var(X̄_m) = V(m)/m², the variance of the m-frame

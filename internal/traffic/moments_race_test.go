@@ -23,6 +23,16 @@ func (acfModel) ACF(k int) float64 {
 	return math.Pow(float64(k), -0.4) // LRD-like decay keeps sums non-trivial
 }
 
+// rangedACF is acfModel with an ACF range method, so a Moments view over
+// it fills in chunks.
+type rangedACF struct{ acfModel }
+
+func (m rangedACF) ACFRange(dst []float64, from int) {
+	for i := range dst {
+		dst[i] = m.ACF(from + i)
+	}
+}
+
 // TestMomentsConcurrentAccess hammers one Moments view from many
 // goroutines querying overlapping lag ranges in both directions — the
 // access pattern of a parallel CTS sweep sharing one moment cache. Run
@@ -71,5 +81,54 @@ func TestMomentsConcurrentAccess(t *testing.T) {
 	}
 	if got := mo.CachedLags(); got < maxM-1 {
 		t.Errorf("cached lags = %d, want ≥ %d", got, maxM-1)
+	}
+}
+
+// TestMomentsPrefixDuringExtend reads Prefix snapshots while another
+// goroutine extends the same view. Under -race this validates the
+// snapshot's safety argument: extension only appends past a snapshot's
+// length, so its entries are never written again. The values must match
+// a view filled beforehand by a single goroutine.
+func TestMomentsPrefixDuringExtend(t *testing.T) {
+	const maxM = 20000
+	want := NewMoments(rangedACF{}).Prefix(maxM + rangeChunk)
+	mo := NewMoments(rangedACF{})
+	var wg sync.WaitGroup
+	errs := make(chan string, 5)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for m := 1; m <= maxM; m += 37 {
+			mo.VarSum(m)
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				// Even readers never extend; odd ones extend too.
+				k := 0
+				if w%2 == 1 {
+					k = (i * 997) % maxM
+				}
+				p := mo.Prefix(k)
+				top := p.MaxM()
+				for _, m := range []int{1, top / 2, top - 1, top} {
+					if m < 1 {
+						continue
+					}
+					if a, b := p.VarSum(m), want.VarSum(m); math.Float64bits(a) != math.Float64bits(b) {
+						errs <- "snapshot V(m) differs from a single-goroutine fill"
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

@@ -26,6 +26,19 @@ func (m *geomModel) NewGenerator(seed int64) Generator {
 	return GeneratorFunc(func() float64 { return m.Mean() })
 }
 
+// rangedGeom is geomModel with an ACF range method, counting range calls.
+type rangedGeom struct {
+	geomModel
+	ranges int
+}
+
+func (m *rangedGeom) ACFRange(dst []float64, from int) {
+	m.ranges++
+	for i := range dst {
+		dst[i] = m.ACF(from + i)
+	}
+}
+
 // fgnModel has the exact-LRD ACF r(k) = ½(|k+1|^2H − 2|k|^2H + |k−1|^2H),
 // whose V(m) has the closed form σ²·m^{2H}.
 type fgnModel struct{ h float64 }
@@ -137,5 +150,65 @@ func TestMomentsModelDelegation(t *testing.T) {
 	}
 	if got, want := mo.AggVariance(7), mo.VarSum(7)/49; got != want {
 		t.Fatalf("AggVariance(7) = %v, want V(7)/49 = %v", got, want)
+	}
+}
+
+// TestMomentsRangeFillMatchesLagByLag fills one view through a range
+// method and another lag by lag with the same queries: the memoised
+// ACF and both prefix sums must agree bit for bit, the range fill must
+// overshoot by at most one chunk, and the lag-by-lag fill not at all.
+func TestMomentsRangeFillMatchesLagByLag(t *testing.T) {
+	rm := &rangedGeom{geomModel: geomModel{a: 0.999}}
+	ranged, lagged := NewMoments(rm), NewMoments(&geomModel{a: 0.999})
+	for _, m := range []int{1, 3000, 2, 1025, 1026, 7000} {
+		if a, b := ranged.VarSum(m), lagged.VarSum(m); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("V(%d): range fill %v, lag-by-lag %v", m, a, b)
+		}
+	}
+	ranged.Prefix(7500)
+	lagged.Prefix(7500)
+	if got := lagged.CachedLags(); got != 7500 {
+		t.Errorf("lag-by-lag fill cached %d lags, want exactly 7500", got)
+	}
+	if got := ranged.CachedLags(); got < 7500 || got > 7500+rangeChunk {
+		t.Errorf("range fill cached %d lags, want 7500..%d", got, 7500+rangeChunk)
+	}
+	if rm.ranges > 8 || rm.calls != ranged.CachedLags() {
+		t.Errorf("range fill made %d range calls over %d ACF evaluations for %d lags",
+			rm.ranges, rm.calls, ranged.CachedLags())
+	}
+	for _, tab := range []struct {
+		name string
+		a, b []float64
+	}{{"r", ranged.r, lagged.r}, {"s1", ranged.s1, lagged.s1}, {"s2", ranged.s2, lagged.s2}} {
+		for k := range tab.b {
+			if math.Float64bits(tab.a[k]) != math.Float64bits(tab.b[k]) {
+				t.Fatalf("%s[%d]: range fill %v, lag-by-lag %v", tab.name, k, tab.a[k], tab.b[k])
+			}
+		}
+	}
+}
+
+// TestPrefixSnapshot checks that a snapshot answers V(m) exactly as the
+// view does, holds at least the lags asked for, and is not changed by
+// later extension.
+func TestPrefixSnapshot(t *testing.T) {
+	mo := NewMoments(fgnModel{h: 0.85})
+	p := mo.Prefix(99)
+	if p.MaxM() < 100 {
+		t.Fatalf("Prefix(99).MaxM() = %d, want ≥ 100", p.MaxM())
+	}
+	before := p.VarSum(p.MaxM())
+	mo.VarSum(50000)
+	if got := p.VarSum(p.MaxM()); math.Float64bits(got) != math.Float64bits(before) {
+		t.Fatalf("snapshot changed under extension: %v → %v", before, got)
+	}
+	for m := 1; m <= p.MaxM(); m++ {
+		if a, b := p.VarSum(m), mo.VarSum(m); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("V(%d): snapshot %v, view %v", m, a, b)
+		}
+	}
+	if (Prefix{}).MaxM() != 0 {
+		t.Fatal("zero Prefix should hold no lags")
 	}
 }

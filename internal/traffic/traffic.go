@@ -34,6 +34,16 @@ type Model interface {
 	NewGenerator(seed int64) Generator
 }
 
+// ACFRanger is an optional Model extension that evaluates the ACF over a
+// run of consecutive lags more cheaply than one ACF call per lag. The
+// contract is exact: ACFRange(dst, from) sets dst[i] to ACF(from+i), bit
+// for bit, for every i, with from ≥ 0. Moments fills its memo through it
+// in chunks past the lag a query needs, so a model whose per-lag cost is
+// high (MPEG, trace replay) should not implement it.
+type ACFRanger interface {
+	ACFRange(dst []float64, from int)
+}
+
 // Generate draws n successive frames from g.
 func Generate(g Generator, n int) []float64 {
 	out := make([]float64, n)

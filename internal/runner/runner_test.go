@@ -107,21 +107,40 @@ func TestRunCancellationMidRun(t *testing.T) {
 	}
 }
 
+// TestRunFailFast fails rep 3 and holds every later rep until the
+// failure cancels it, so the run cannot finish all its reps before the
+// cancellation lands. Reps are fed in order, so rep 3 always reaches a
+// worker, and at most one later rep per other worker starts. If the
+// cancellation never comes, the first held rep gives up after 10 s and
+// releases the rest, so a broken fail-fast fails the test, not hangs it.
 func TestRunFailFast(t *testing.T) {
+	const workers = 2
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	_, err := Run(context.Background(), New(2), Spec{ID: "fail", Reps: 1000, MasterSeed: 1},
+	var uncancelled atomic.Bool
+	_, err := Run(context.Background(), New(workers), Spec{ID: "fail", Reps: 1000, MasterSeed: 1},
 		func(ctx context.Context, r Rep) (int, error) {
 			calls.Add(1)
-			if r.Index == 3 {
+			switch {
+			case r.Index == 3:
 				return 0, boom
+			case r.Index > 3 && !uncancelled.Load():
+				select {
+				case <-ctx.Done():
+					return 0, context.Cause(ctx)
+				case <-time.After(10 * time.Second):
+					uncancelled.Store(true)
+				}
 			}
 			return r.Index, nil
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if n := calls.Load(); n >= 1000 {
+	if uncancelled.Load() {
+		t.Fatal("a rep after the failure was never cancelled")
+	}
+	if n := calls.Load(); n > 4+(workers-1) {
 		t.Fatalf("fail-fast did not stop the run early (%d calls)", n)
 	}
 }

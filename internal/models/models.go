@@ -83,18 +83,15 @@ func (c *Composite) ACF(k int) float64 {
 }
 
 // ACFRange implements traffic.ACFRanger: dst[i] = ACF(from+i), bit for
-// bit, for from ≥ 0. It reads the component variances once and combines
-// the components' own ranges, taking the DAR lock once per block of lags.
+// bit, for from ≥ 0. It reads the component variances once and mixes
+// the components' own ranges.
 func (c *Composite) ACFRange(dst []float64, from int) {
 	vx, vy := c.X.Variance(), c.Y.Variance()
+	ry := make([]float64, len(dst))
 	c.X.ACFRange(dst, from)
-	var ry [256]float64
-	for off := 0; off < len(dst); off += len(ry) {
-		y := ry[:min(len(ry), len(dst)-off)]
-		c.Y.ACFRange(y, from+off)
-		for i, r := range y {
-			dst[off+i] = mixACF(vx, vy, dst[off+i], r)
-		}
+	c.Y.ACFRange(ry, from)
+	for i, r := range ry {
+		dst[i] = mixACF(vx, vy, dst[i], r)
 	}
 }
 

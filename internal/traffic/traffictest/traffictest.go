@@ -18,11 +18,11 @@ type RangedModel interface {
 // CheckACFRange fails t unless m.ACFRange(dst, from) sets every dst[i]
 // to the bits of m.ACF(from+i). The starts cover lag 0, lag 1, both
 // sides of the Moments fill chunk of 1024 lags and a far lag; the lengths
-// cross the chunk and the 256-lag blocks models.Composite works in.
+// run from empty to past two chunks.
 func CheckACFRange(t testing.TB, m RangedModel) {
 	t.Helper()
 	for _, from := range []int{0, 1, 1023, 1024, 5000} {
-		for _, n := range []int{0, 1, 255, 256, 257, 1023, 1024, 1025, 2100} {
+		for _, n := range []int{0, 1, 2, 1023, 1024, 1025, 2100} {
 			dst := make([]float64, n)
 			m.ACFRange(dst, from)
 			for i, got := range dst {

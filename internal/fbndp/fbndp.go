@@ -32,6 +32,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/fgn"
 	"repro/internal/randx"
 	"repro/internal/traffic"
 )
@@ -106,39 +107,26 @@ func (p Params) ACF(k int) float64 {
 	if k == 0 {
 		return 1
 	}
-	fk, e := float64(k), p.Alpha+1
-	return p.frac() * halfSecondDiff(math.Pow(fk-1, e), math.Pow(fk, e), math.Pow(fk+1, e))
+	return p.frac() * fgn.HalfSecondDiff(k, p.Alpha+1)
 }
 
 // ACFRange implements traffic.ACFRanger: dst[i] = ACF(from+i), bit for
-// bit, for from ≥ 0. The fractal weight is computed once and the powers
-// (k−1)^e and k^e are carried forward, so each lag costs one Pow
-// instead of four.
+// bit, for from ≥ 0. It fills ½∇²(k^{α+1}) with fgn.HalfSecondDiffRange,
+// one Pow per lag, and scales it by the fractal weight computed once.
 func (p Params) ACFRange(dst []float64, from int) {
-	if len(dst) == 0 {
-		return
-	}
-	if from == 0 {
+	if from == 0 && len(dst) > 0 {
 		dst[0] = 1
 		dst, from = dst[1:], 1
 	}
-	frac, e := p.frac(), p.Alpha+1
-	prev, cur := math.Pow(float64(from-1), e), math.Pow(float64(from), e)
+	fgn.HalfSecondDiffRange(dst, from, p.Alpha+1)
+	frac := p.frac()
 	for i := range dst {
-		next := math.Pow(float64(from+i+1), e)
-		dst[i] = frac * halfSecondDiff(prev, cur, next)
-		prev, cur = cur, next
+		dst[i] *= frac
 	}
 }
 
 // frac returns the fractal weight Ts^α/(Ts^α+T0^α) = 1/(1+(T0/Ts)^α).
 func (p Params) frac() float64 { return 1 / (1 + math.Pow(p.T0/p.Ts, p.Alpha)) }
-
-// halfSecondDiff is ½∇²(k^e) = ½[(k+1)^e − 2k^e + (k−1)^e] from the three
-// powers (k−1)^e, k^e and (k+1)^e.
-func halfSecondDiff(prev, cur, next float64) float64 {
-	return 0.5 * (next - 2*cur + prev)
-}
 
 // SolveT0 returns the fractal onset time that produces the requested
 // frame-count variance for the given mean and α:

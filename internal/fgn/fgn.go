@@ -132,27 +132,37 @@ func (m *Model) ACF(k int) float64 {
 	if m.acf != nil {
 		return m.acf(k)
 	}
-	e := 2 * m.H
-	fk := float64(k)
-	return halfSecondDiff(math.Pow(fk-1, e), math.Pow(fk, e), math.Pow(fk+1, e))
+	return HalfSecondDiff(k, 2*m.H)
 }
 
 // ACFRange implements traffic.ACFRanger: dst[i] = ACF(from+i), bit for
-// bit, for from ≥ 0. The exact FGN autocorrelation carries the powers
-// (k−1)^{2H} and k^{2H} forward, so each lag costs one Pow instead of
-// three; a custom ACF is evaluated lag by lag.
+// bit, for from ≥ 0. The exact FGN autocorrelation goes through
+// HalfSecondDiffRange; a custom ACF is evaluated lag by lag.
 func (m *Model) ACFRange(dst []float64, from int) {
-	if m.acf != nil || len(dst) == 0 {
+	if m.acf != nil {
 		for i := range dst {
 			dst[i] = m.ACF(from + i)
 		}
 		return
 	}
-	if from == 0 {
+	if from == 0 && len(dst) > 0 {
 		dst[0] = 1
 		dst, from = dst[1:], 1
 	}
-	e := 2 * m.H
+	HalfSecondDiffRange(dst, from, 2*m.H)
+}
+
+// HalfSecondDiff returns ½∇²(k^e) = ½[(k+1)^e − 2k^e + (k−1)^e] for
+// k ≥ 1: the exact FGN autocorrelation at lag k when e = 2H.
+func HalfSecondDiff(k int, e float64) float64 {
+	fk := float64(k)
+	return halfSecondDiff(math.Pow(fk-1, e), math.Pow(fk, e), math.Pow(fk+1, e))
+}
+
+// HalfSecondDiffRange sets dst[i] = HalfSecondDiff(from+i, e), bit for
+// bit, for from ≥ 1. It carries (k−1)^e and k^e forward, so each lag
+// costs one Pow instead of three.
+func HalfSecondDiffRange(dst []float64, from int, e float64) {
 	prev, cur := math.Pow(float64(from-1), e), math.Pow(float64(from), e)
 	for i := range dst {
 		next := math.Pow(float64(from+i+1), e)
@@ -161,8 +171,8 @@ func (m *Model) ACFRange(dst []float64, from int) {
 	}
 }
 
-// halfSecondDiff is ½∇²(k^e) = ½[(k+1)^e − 2k^e + (k−1)^e] from the three
-// powers (k−1)^e, k^e and (k+1)^e.
+// halfSecondDiff is ½[(k+1)^e − 2k^e + (k−1)^e] from the three powers
+// (k−1)^e, k^e and (k+1)^e.
 func halfSecondDiff(prev, cur, next float64) float64 {
 	return 0.5 * (next - 2*cur + prev)
 }

@@ -155,6 +155,16 @@ func BenchmarkGenV(b *testing.B) {
 	benchGenerator(b, v)
 }
 
+// BenchmarkGenV15 measures V^1.5, whose ~15 µs phases make it most of
+// Fig 8's cost; BenchmarkGenV measures V^1.
+func BenchmarkGenV15(b *testing.B) {
+	v, err := models.NewV(1.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchGenerator(b, v)
+}
+
 func BenchmarkGenL(b *testing.B) {
 	l, err := models.NewL()
 	if err != nil {

@@ -10,10 +10,8 @@ package repro_test
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dar"
@@ -22,8 +20,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/mux"
 	"repro/internal/runner"
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/flight"
 	"repro/internal/traffic"
 )
 
@@ -347,64 +343,10 @@ func BenchmarkMuxRunBlock(b *testing.B) {
 	benchMuxRun(b, replayWorkload(b))
 }
 
-// BenchmarkMuxRunBlockFlight is BenchmarkMuxRunBlock with the flight
-// recorder live on the process registry at its default 1 s cadence and a
-// JSONL log sink attached — the exact `-flight` production configuration.
-// The benchdiff baseline holds its throughput within 1% of the plain
-// block run: the recorder only scrapes, the simulation never waits on it.
-func BenchmarkMuxRunBlockFlight(b *testing.B) {
-	rec, err := flight.Start(telemetry.Default, flight.Options{
-		Path: filepath.Join(b.TempDir(), "flight.jsonl"),
-		Tool: "bench",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rec.Stop()
-	benchMuxRun(b, replayWorkload(b))
-}
-
-// BenchmarkFlightSnapshot prices one recorder frame — a full registry
-// scrape plus the delta-encoded log line — against a registry populated
-// like a mid-run simulation: 40 counters, 10 gauges, and 10 histograms
-// carrying a thousand observations each. One counter advances per
-// iteration so every frame writes a real (non-empty) delta line.
-func BenchmarkFlightSnapshot(b *testing.B) {
-	reg := telemetry.NewRegistry()
-	active := reg.Counter("bench_active_total")
-	for i := 0; i < 40; i++ {
-		reg.Counter(fmt.Sprintf("bench_counter_%02d_total", i)).Add(int64(i))
-	}
-	for i := 0; i < 10; i++ {
-		reg.Gauge(fmt.Sprintf("bench_gauge_%02d", i)).Set(float64(i))
-		h := reg.Histogram(fmt.Sprintf("bench_hist_%02d", i))
-		for j := 0; j < 1000; j++ {
-			h.Observe(float64(j%97) + 0.5)
-		}
-	}
-	rec, err := flight.Start(reg, flight.Options{
-		Interval: time.Hour, // benchmark drives Record itself
-		Path:     filepath.Join(b.TempDir(), "flight.jsonl"),
-		Tool:     "bench",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rec.Stop()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		active.Inc()
-		rec.Record()
-	}
-}
-
 // BenchmarkEngineStepOpenLoop forces the same open-loop workload through
 // the per-frame stepped engine (Config.ForceStep). Results are
 // bit-identical to BenchmarkMuxRunBlock; the gap prices the per-frame
-// bookkeeping the feedback tap costs when nothing is closed-loop, and
-// the benchdiff gate holds the chunked fast path itself within 5% of the
-// pre-engine baseline.
+// bookkeeping the feedback tap costs when nothing is closed-loop.
 func BenchmarkEngineStepOpenLoop(b *testing.B) {
 	m := replayWorkload(b)
 	cfg := mux.Config{Model: m, N: 100, C: 526, B: 100, Frames: 20000, ForceStep: true}

@@ -6,8 +6,7 @@
 //
 //	atmsim [-models z:0.975] [-c 538] [-n 30] [-buffers 0,2,5,10,20]
 //	       [-frames 100000] [-reps 8] [-seed 1] [-workers 0] [-bop]
-//	       [-adaptive] [-telemetry ADDR] [-flight FILE] [-slo RULES]
-//	       [-cpuprofile FILE]
+//	       [-adaptive] [-telemetry ADDR] [-trace FILE] [-cpuprofile FILE]
 //
 // With -adaptive (or an aimd:<spec> model spec) sources are closed-loop:
 // an AIMD controller scales each source's frame sizes against the queue
@@ -22,14 +21,10 @@
 // an HTTP endpoint serves live metrics (/metrics, /vars) and /debug/pprof
 // profiles for the duration of the run. With -trace FILE the run records a
 // span tree (model → replication → mux chunk) and writes Chrome
-// trace-event JSON loadable in Perfetto. With -flight FILE periodic
-// metric snapshots are recorded to a JSONL flight log (served live at
-// /vars/history on the -telemetry endpoint, replayed by obsreport), and
-// -slo RULES evaluates SLO rules online against each snapshot, exiting
-// non-zero on any breach. -cpuprofile FILE writes a whole-run CPU
-// profile, labelled by model, sweep point, engine path and worker lane,
-// for go tool pprof; it is written even when the run fails or is
-// interrupted. -v/-quiet adjust log verbosity. None of these sinks
+// trace-event JSON loadable in Perfetto. -cpuprofile FILE writes a
+// whole-run CPU profile, labelled by model, sweep point, engine path and
+// worker lane, for go tool pprof; it is written even when the run fails
+// or is interrupted. -v/-quiet adjust log verbosity. None of these sinks
 // perturbs results.
 package main
 
@@ -49,7 +44,6 @@ import (
 	"repro/internal/mux"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/obs"
 	"repro/internal/telemetry/prof"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -57,9 +51,9 @@ import (
 
 var logx = telemetry.Log
 
-// sess is the run's observability session, kept where fatal can stop its
-// CPU profile before exiting.
-var sess *obs.Session
+// stopCPU stops the -cpuprofile profile; nil when none is running. It is
+// kept where fatal can stop the profile before exiting.
+var stopCPU func() error
 
 func main() {
 	var (
@@ -75,10 +69,10 @@ func main() {
 		adaptive = flag.Bool("adaptive", false, "wrap every model in the closed-loop AIMD rate controller (default parameters; equivalent to an aimd:<spec> prefix)")
 		telem    = flag.String("telemetry", "", "serve live metrics/pprof on this address (e.g. :6060); empty = off")
 		trc      = flag.String("trace", "", "write Chrome trace-event JSON of the run's span tree to this file (load in Perfetto)")
+		cpuProf  = flag.String("cpuprofile", "", "write a whole-run CPU profile, labelled by figure/sweep_point/model/path/lane, to this file (read with go tool pprof); empty = off")
 		verbose  = flag.Bool("v", false, "verbose logging (debug level)")
 		quiet    = flag.Bool("quiet", false, "log errors only (overrides -v)")
 	)
-	obsFlags := obs.AddFlags()
 	flag.Parse()
 	logx.SetPrefix("atmsim")
 	logx.SetLevel(telemetry.LevelFromFlags(*verbose, *quiet))
@@ -92,12 +86,13 @@ func main() {
 	defer cancel()
 	eng := runner.NewWithRegistry(*workers, telemetry.Default)
 	var err error
-	sess, err = obsFlags.Start(telemetry.Default, "atmsim")
-	if err != nil {
-		fatal(err)
+	if *cpuProf != "" {
+		if stopCPU, err = prof.StartCPUProfile(*cpuProf); err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
 	}
 	if *telem != "" {
-		srv, addr, err := telemetry.Serve(*telem, telemetry.Default, sess.Routes()...)
+		srv, addr, err := telemetry.Serve(*telem, telemetry.Default)
 		if err != nil {
 			fatal(err)
 		}
@@ -204,8 +199,11 @@ func main() {
 		}
 		logx.Infof("wrote %d spans to %s (load in Perfetto or chrome://tracing)", tracer.Len(), *trc)
 	}
-	if !sess.Finish() {
-		os.Exit(3)
+	if err := stopProfile(); err != nil {
+		fatal(fmt.Errorf("cpu profile %s: %w", *cpuProf, err))
+	}
+	if *cpuProf != "" {
+		logx.Infof("cpu profile: %s (read with go tool pprof)", *cpuProf)
 	}
 }
 
@@ -232,8 +230,20 @@ func parseFloats(s string) ([]float64, error) {
 // or interrupted run still leaves a readable profile.
 func fatal(err error) {
 	logx.Errorf("%v", err)
-	if perr := sess.StopProfile(); perr != nil {
+	if perr := stopProfile(); perr != nil {
 		logx.Errorf("cpu profile: %v", perr)
 	}
 	os.Exit(1)
+}
+
+// stopProfile stops the CPU profile and closes its file, reporting a
+// write or close error. Later calls, and calls without -cpuprofile, do
+// nothing.
+func stopProfile() error {
+	stop := stopCPU
+	stopCPU = nil
+	if stop == nil {
+		return nil
+	}
+	return stop()
 }

@@ -15,7 +15,10 @@
 // catching any real change. Per-series overrides ("fig8a/*=1e-6") use
 // path.Match globs against "resultID/seriesLabel" and take the first
 // matching pattern. Missing results, missing series, length mismatches and
-// seed mismatches are always drift. Exit status: 0 = no drift, 1 = usage
+// seed mismatches are always drift, and so is any difference in a point's
+// convergence record count n or quarantined non-finite count, whatever
+// the tolerance: a replication whose estimate turned NaN fails the diff
+// even when the finite ones agree. Exit status: 0 = no drift, 1 = usage
 // or I/O error, 2 = drift detected (with -fail-on-drift; without it the
 // report is printed and the exit is 0, for exploratory comparisons).
 package main
@@ -174,6 +177,7 @@ func (d *differ) compareResult(gr, cr telemetry.ResultRecord) {
 		d.compareVec(key, "y", gs.Y, cs.Y, rtol)
 		d.compareVec(key, "lo", gs.Lo, cs.Lo, rtol)
 		d.compareVec(key, "hi", gs.Hi, cs.Hi, rtol)
+		d.compareConv(key, gs.Conv, cs.Conv)
 		if d.drifts == before {
 			logx.Debugf("%s: ok (%d points, rtol %g)", key, len(gs.Y), rtol)
 		}
@@ -190,6 +194,22 @@ func (d *differ) compareVec(key, col string, g, c []float64, rtol float64) {
 		if !withinTol(g[i], c[i], rtol, d.atol) {
 			d.drift("%s.%s[%d]: %.17g (golden) != %.17g (candidate), rel err %.3g, rtol %g",
 				key, col, i, g[i], c[i], relErr(g[i], c[i]), rtol)
+		}
+	}
+}
+
+// compareConv checks the per-point convergence records exactly. n and
+// non_finite are counts, not estimates, so no tolerance applies; rel_ci
+// and ess derive from the estimates compareVec already checked.
+func (d *differ) compareConv(key string, g, c []telemetry.ConvRecord) {
+	if len(g) != len(c) {
+		d.drift("%s.conv: length %d (golden) != %d (candidate)", key, len(g), len(c))
+		return
+	}
+	for i := range g {
+		if g[i].N != c[i].N || g[i].NonFinite != c[i].NonFinite {
+			d.drift("%s.conv[%d]: n %d, non_finite %d (golden) != n %d, non_finite %d (candidate)",
+				key, i, g[i].N, g[i].NonFinite, c[i].N, c[i].NonFinite)
 		}
 	}
 }

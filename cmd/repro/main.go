@@ -8,8 +8,7 @@
 //
 //	repro [-exp all|table1,fig1,...,fig10] [-reps N] [-frames N]
 //	      [-seed N] [-out DIR] [-csv] [-workers N] [-checkpoint FILE]
-//	      [-telemetry ADDR] [-flight FILE] [-flight-interval DUR] [-slo RULES]
-//	      [-cpuprofile FILE]
+//	      [-telemetry ADDR] [-trace FILE] [-cpuprofile FILE]
 //
 // Simulation replications fan out over -workers cores (default: all);
 // results are bit-identical for every worker count. With -checkpoint,
@@ -25,15 +24,9 @@
 // /vars JSON) and /debug/pprof profiles while the run progresses. With
 // -trace FILE the run records a span tree (figure → sweep → replication →
 // mux chunk) and writes it as Chrome trace-event JSON, loadable in
-// Perfetto or chrome://tracing. With -flight FILE the flight recorder
-// snapshots all metrics every -flight-interval (default 1s) into a
-// delta-encoded JSONL time-series log — replay it with obsreport — and
-// serves the recent history at /vars/history on the -telemetry endpoint.
-// With -slo RULES (see internal/telemetry/slo for the grammar) each
-// snapshot is evaluated online and any breached rule fails the run with
-// exit status 3. With -cpuprofile FILE the whole run is CPU-profiled,
-// each sample labelled with the figure/model/sweep-point/path/lane it
-// was spent on; read it with go tool pprof (-top, -tags,
+// Perfetto or chrome://tracing. With -cpuprofile FILE the whole run is
+// CPU-profiled, each sample labelled with the figure/model/sweep-point/
+// path/lane it was spent on; read it with go tool pprof (-top, -tags,
 // -tagfocus=figure=fig8, -diff_base). The profile is written even when
 // the run fails or is interrupted. -v/-quiet raise/lower log verbosity.
 // None of these sinks perturbs results: fixed-seed outputs are
@@ -57,16 +50,15 @@ import (
 	"repro/internal/models"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/obs"
 	"repro/internal/telemetry/prof"
 	"repro/internal/trace"
 )
 
 var logx = telemetry.Log
 
-// sess is the run's observability session, kept where fatal can stop its
-// CPU profile before exiting.
-var sess *obs.Session
+// stopCPU stops the -cpuprofile profile; nil when none is running. It is
+// kept where fatal can stop the profile before exiting.
+var stopCPU func() error
 
 func main() {
 	var (
@@ -81,10 +73,10 @@ func main() {
 		telem   = flag.String("telemetry", "", "serve live metrics/pprof on this address (e.g. :6060); empty = off")
 		trc     = flag.String("trace", "", "write Chrome trace-event JSON of the run's span tree to this file (load in Perfetto)")
 		convRel = flag.Float64("convrel", 0, "target relative 95% CI half-width for convergence verdicts (0 = default 0.5)")
+		cpuProf = flag.String("cpuprofile", "", "write a whole-run CPU profile, labelled by figure/sweep_point/model/path/lane, to this file (read with go tool pprof); empty = off")
 		verbose = flag.Bool("v", false, "verbose logging (debug level)")
 		quiet   = flag.Bool("quiet", false, "log errors only (overrides -v)")
 	)
-	obsFlags := obs.AddFlags()
 	flag.Parse()
 	logx.SetPrefix("repro")
 	logx.SetLevel(telemetry.LevelFromFlags(*verbose, *quiet))
@@ -97,7 +89,7 @@ func main() {
 		tracer = trace.New()
 	}
 
-	// Interrupts cancel in-flight replications cleanly so the checkpoint
+	// Interrupts cancel running replications cleanly so the checkpoint
 	// stays consistent and the run can be resumed.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -122,17 +114,17 @@ func main() {
 	stopLog := eng.LogProgress(5*time.Second, logx.Writer(telemetry.LevelInfo))
 	defer stopLog()
 
-	// The flight recorder and online SLO evaluation only read the registry,
-	// so results stay bit-identical with them on or off (CI diffs the smoke
-	// manifests at rtol 0 to prove it).
+	// The profiler only samples, so results stay bit-identical with it on
+	// or off (CI diffs the smoke manifests at rtol 0 to prove it).
 	var err error
-	sess, err = obsFlags.Start(telemetry.Default, "repro")
-	if err != nil {
-		fatal(err)
+	if *cpuProf != "" {
+		if stopCPU, err = prof.StartCPUProfile(*cpuProf); err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
 	}
 
 	if *telem != "" {
-		srv, addr, err := telemetry.Serve(*telem, telemetry.Default, sess.Routes()...)
+		srv, addr, err := telemetry.Serve(*telem, telemetry.Default)
 		if err != nil {
 			fatal(err)
 		}
@@ -299,10 +291,12 @@ func main() {
 		}
 		logx.Infof("wrote %d spans to %s (load in Perfetto or chrome://tracing)", tracer.Len(), *trc)
 	}
-	// The SLO verdict is the exit gate: a breached rule (or a torn flight
-	// log) fails the run even though every figure rendered.
-	if !sess.Finish() {
-		os.Exit(3)
+	// A torn profile fails the run even though every figure rendered.
+	if err := stopProfile(); err != nil {
+		fatal(fmt.Errorf("cpu profile %s: %w", *cpuProf, err))
+	}
+	if *cpuProf != "" {
+		logx.Infof("cpu profile: %s (read with go tool pprof)", *cpuProf)
 	}
 }
 
@@ -366,8 +360,20 @@ func emitText(id, text, outDir string) {
 // or interrupted run still leaves a readable profile.
 func fatal(err error) {
 	logx.Errorf("%v", err)
-	if perr := sess.StopProfile(); perr != nil {
+	if perr := stopProfile(); perr != nil {
 		logx.Errorf("cpu profile: %v", perr)
 	}
 	os.Exit(1)
+}
+
+// stopProfile stops the CPU profile and closes its file, reporting a
+// write or close error. Later calls, and calls without -cpuprofile, do
+// nothing.
+func stopProfile() error {
+	stop := stopCPU
+	stopCPU = nil
+	if stop == nil {
+		return nil
+	}
+	return stop()
 }

@@ -10,26 +10,27 @@ import (
 //   - net/http/pprof: its import side effect registers handlers on
 //     http.DefaultServeMux; profiling endpoints are exposed exclusively
 //     through telemetry's opt-in listener.
-//   - runtime/pprof: the continuous-profiling collector in
-//     internal/telemetry/prof owns the process-wide CPU profiler
-//     (StartCPUProfile fails if a second caller starts it) and the
-//     goroutine-label discipline (see the proflabels analyzer); ad-hoc
-//     profile captures elsewhere would race the collector's windows.
+//   - runtime/pprof: internal/telemetry/prof owns the process-wide CPU
+//     profiler through StartCPUProfile (which fails if a second caller
+//     starts it, as -cpuprofile does once per run) and the fixed label
+//     key set (see the proflabels analyzer); ad-hoc profile captures
+//     elsewhere would fight -cpuprofile for the single profiler or
+//     attach labels outside the key set.
 var restrictedImports = []struct {
 	path  string
 	owner string
 	why   string
 }{
 	{"net/http/pprof", "internal/telemetry", "profiling is exposed only via the telemetry listener"},
-	{"runtime/pprof", "internal/telemetry/prof", "the prof collector owns the process-wide profiler and the label key set"},
+	{"runtime/pprof", "internal/telemetry/prof", "prof owns StartCPUProfile and the label key set"},
 }
 
 // PprofImport is the analyzer form of the boundary previously enforced
 // by internal/telemetry/lint_test.go's go/parser walk (and a CI grep):
 // importing net/http/pprof anywhere else would silently mount profiling
 // endpoints on any default-mux server the process starts, and importing
-// runtime/pprof anywhere else would let ad-hoc captures fight the
-// continuous collector over the single CPU profiler.
+// runtime/pprof anywhere else would let ad-hoc captures fight
+// StartCPUProfile over the single CPU profiler.
 var PprofImport = &Analyzer{
 	Name: "pprofimport",
 	Doc: "flags net/http/pprof imports outside internal/telemetry and runtime/pprof " +

@@ -11,6 +11,6 @@ func TestPprofImport(t *testing.T) {
 	analysistest.Run(t, fixtureModule(t), analysis.PprofImport,
 		"fix/pprof",                   // stray imports flagged
 		"fix/internal/telemetry",      // the exposition package is exempt
-		"fix/internal/telemetry/prof", // the collector may link runtime/pprof
+		"fix/internal/telemetry/prof", // the profile owner may link runtime/pprof
 	)
 }

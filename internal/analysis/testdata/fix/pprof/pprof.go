@@ -2,7 +2,7 @@
 // net/http/pprof outside internal/telemetry mounts profiling handlers
 // on http.DefaultServeMux as an import side effect, and linking
 // runtime/pprof outside internal/telemetry/prof lets ad-hoc captures
-// race the continuous collector over the single CPU profiler.
+// fight StartCPUProfile over the single CPU profiler.
 package pprof
 
 import (

@@ -5,11 +5,8 @@ import (
 )
 
 // walltimeAllowed lists the package trees that may read the wall clock:
-// telemetry (timers, manifests; the internal/telemetry root also covers
-// internal/telemetry/prof, whose collector paces CPU windows with a
-// ticker and stamps store index lines — pure observation, never inputs
-// to a model), trace (span timestamps), runner (progress/ETA) and the
-// CLIs. Everything else — models, multiplexers, solvers — must be a pure
+// telemetry (timers, manifests — pure observation, never inputs to a
+// model), trace (span timestamps), runner (progress/ETA) and the CLIs. Everything else — models, multiplexers, solvers — must be a pure
 // function of its inputs and seed, or replays stop being bit-identical.
 var walltimeAllowed = []string{
 	"internal/telemetry",

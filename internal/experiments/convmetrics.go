@@ -8,12 +8,13 @@ import (
 )
 
 // publishConvergence mirrors one grid point's convergence verdict into the
-// process registry, so the flight recorder's periodic snapshots show
-// convergence evolving point by point instead of only in the final
-// manifest: conv_points_total{outcome} counts verdicts, conv_rel_ci and
-// conv_ess track the most recent point's diagnostics, and
-// conv_nonfinite_total accumulates quarantined observations (the SLO
-// health rule "value(conv_nonfinite_total) == 0" watches it).
+// process registry, so a live -telemetry scrape (/metrics, /vars) shows
+// convergence evolving point by point, and the manifest's final metrics
+// snapshot totals it: conv_points_total{outcome} counts verdicts,
+// conv_rel_ci and conv_ess track the most recent point's diagnostics,
+// and conv_nonfinite_total accumulates quarantined observations (the
+// per-series conv records, which manifestdiff compares, carry the same
+// count point by point).
 //
 // Purely observational: reads the verdict, never the estimates. Undefined
 // RelCI (fewer than two finite observations) is encoded as -1, mirroring

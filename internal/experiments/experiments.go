@@ -170,7 +170,7 @@ type SimConfig struct {
 	// Engine, when non-nil, runs every simulation job — sharing its
 	// worker pool, progress counters and checkpoint across figures.
 	Engine *runner.Engine
-	// Ctx, when non-nil, cancels in-flight replications (fail-fast).
+	// Ctx, when non-nil, cancels running replications (fail-fast).
 	Ctx context.Context
 
 	// Span, when active, parents the figure's trace spans: each model

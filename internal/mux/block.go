@@ -29,8 +29,8 @@ var (
 	metPoolMisses   = telemetry.Default.Counter("mux_chunk_pool_misses_total")
 	// Path split: which simulation engine served each run — the chunked
 	// open-loop block path or the per-frame stepped engine (closed-loop
-	// feedback). The flight recorder's per-frame view of these makes a
-	// mid-run path change (e.g. an adaptive model joining) visible.
+	// feedback). figbench's ledger reads them as mux.runs_chunked and
+	// mux.runs_stepped.
 	metPathChunked = telemetry.Default.Counter("mux_path_runs_total", telemetry.L("path", "chunked"))
 	metPathStepped = telemetry.Default.Counter("mux_path_runs_total", telemetry.L("path", "stepped"))
 )

@@ -61,7 +61,7 @@ func TestStatsStringETA(t *testing.T) {
 	}
 	running := Stats{RepsTotal: 60, RepsDone: 30, Elapsed: time.Minute, ETA: time.Minute}
 	if s := running.String(); !strings.Contains(s, "eta 1m0s") {
-		t.Errorf("in-flight stats = %q, want eta 1m0s", s)
+		t.Errorf("mid-run stats = %q, want eta 1m0s", s)
 	}
 	fresh := Stats{RepsTotal: 60}
 	if s := fresh.String(); !strings.Contains(s, "eta ?") {

@@ -9,7 +9,7 @@
 //     splitmix64 hash of (master seed, job ID, i) — a pure function, so
 //     results do not depend on worker count or scheduling order.
 //  2. Cancellation and fail-fast. Run observes its context and aborts all
-//     in-flight replications as soon as one fails or the caller cancels.
+//     running replications as soon as one fails or the caller cancels.
 //  3. Checkpointing. With a Checkpoint attached, every finished
 //     replication is persisted keyed by (job fingerprint, rep index); an
 //     interrupted full-scale run resumes instead of restarting.
@@ -312,10 +312,11 @@ func Run[T any](ctx context.Context, e *Engine, spec Spec, fn func(ctx context.C
 			wg.Add(1)
 			go func(lane int) {
 				defer wg.Done()
-				// Per-lane progress surfaces worker balance on the flight
-				// recorder: a lane whose counter stalls while siblings
-				// advance is a starved or wedged worker. The handle is
-				// fetched once per worker, not per replication.
+				// Per-lane progress surfaces worker balance (figbench's
+				// runner.lane_imbalance reads it): a lane whose counter
+				// stalls while siblings advance is a starved or wedged
+				// worker. The handle is fetched once per worker, not per
+				// replication.
 				laneStr := strconv.Itoa(lane)
 				laneDone := e.reg.Counter("runner_lane_reps_done_total",
 					telemetry.L("lane", laneStr))

@@ -11,14 +11,6 @@ import (
 	"strings"
 )
 
-// Route is an extra endpoint mounted onto a telemetry Handler — e.g. the
-// flight recorder's /vars/history, which lives a package below and cannot
-// be imported from here.
-type Route struct {
-	Pattern string // e.g. "/vars/history"
-	Handler http.Handler
-}
-
 // varsBody is the /vars response. An explicit struct (not a map) pins the
 // field order, so exposition is deterministic byte-for-byte given the same
 // registry state: metrics come from Snapshot (sorted by name then labels)
@@ -43,21 +35,16 @@ type runtimeVars struct {
 //	/vars          expvar-style JSON: metric snapshots + runtime stats
 //	/debug/pprof/  net/http/pprof profiles (heap, profile, trace, ...)
 //
-// plus any extra routes (the CLIs mount the flight recorder's
-// /vars/history this way). Every endpoint sets an explicit Content-Type
-// and emits metric families in the registry's sorted canonical order.
+// Every endpoint sets an explicit Content-Type and emits metric families
+// in the registry's sorted canonical order.
 //
 // pprof handlers are registered explicitly on a private mux — importing
 // this package does not touch http.DefaultServeMux, and no other package
 // in the module may import net/http/pprof (CI enforces this), so profiling
 // is only ever exposed through an opt-in -telemetry listener.
-func Handler(reg *Registry, extra ...Route) http.Handler {
+func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
-	index := []string{"/metrics", "/vars", "/debug/pprof/"}
-	for _, rt := range extra {
-		index = append(index, rt.Pattern)
-	}
-	sort.Strings(index)
+	index := []string{"/debug/pprof/", "/metrics", "/vars"}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -95,9 +82,6 @@ func Handler(reg *Registry, extra ...Route) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	for _, rt := range extra {
-		mux.Handle(rt.Pattern, rt.Handler)
-	}
 	return mux
 }
 
@@ -176,14 +160,13 @@ func promLabelsWith(labels map[string]string, extraKey, extraVal string) string 
 
 // Serve starts the exposition endpoint on addr (e.g. ":6060" or
 // "127.0.0.1:0") in a background goroutine and returns the server together
-// with the bound address. Extra routes are mounted as in Handler. The
-// caller owns shutdown via srv.Close.
-func Serve(addr string, reg *Registry, extra ...Route) (*http.Server, string, error) {
+// with the bound address. The caller owns shutdown via srv.Close.
+func Serve(addr string, reg *Registry) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: Handler(reg, extra...)}
+	srv := &http.Server{Handler: Handler(reg)}
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -19,12 +18,6 @@ func readAll(t *testing.T, r io.Reader) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-type stringHandler string
-
-func (s stringHandler) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	fmt.Fprint(w, string(s))
 }
 
 // TestExpositionDeterministicOrder scrapes a static registry twice and
@@ -86,29 +79,6 @@ func TestExpositionDeterministicOrder(t *testing.T) {
 		if body.Metrics[i-1].Name > body.Metrics[i].Name {
 			t.Errorf("/vars metrics unsorted: %s after %s", body.Metrics[i].Name, body.Metrics[i-1].Name)
 		}
-	}
-}
-
-func TestHandlerExtraRoutes(t *testing.T) {
-	reg := NewRegistry()
-	extra := Route{Pattern: "/vars/history", Handler: stringHandler("history!")}
-	srv := httptest.NewServer(Handler(reg, extra))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/vars/history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := readAll(t, resp.Body); got != "history!" {
-		t.Errorf("extra route body %q", got)
-	}
-	resp2, err := srv.Client().Get(srv.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if idx := readAll(t, resp2.Body); !strings.Contains(idx, "/vars/history") {
-		t.Errorf("index does not list extra route:\n%s", idx)
 	}
 }
 
@@ -189,7 +159,7 @@ scrape:
 }
 
 // BenchmarkHistogramStats measures one full histogram snapshot — the
-// flight recorder's per-scrape cost. The pooled counts buffer keeps this
+// per-histogram cost of a /metrics or /vars scrape. The pooled counts buffer keeps this
 // allocation-free (before the pool: one ~4.5 KB slice per call).
 func BenchmarkHistogramStats(b *testing.B) {
 	h := NewHistogram()

@@ -115,44 +115,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveN records n occurrences of value v in one shot — the bulk form
-// of Observe, for bridging pre-aggregated histograms (runtime/metrics
-// Float64Histogram bucket deltas can be millions of counts per poll;
-// calling Observe in a loop would melt the poll). Semantics match n
-// consecutive Observe(v) calls: n added to v's bucket and the count,
-// n·v to the sum, min/max updated once. n <= 0 is a no-op; non-finite v
-// quarantines n observations.
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		h.nonFinite.Add(n)
-		return
-	}
-	h.buckets[bucketIndex(v)].Add(n)
-	h.count.Add(n)
-	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v*float64(n))
-		if h.sumBits.CompareAndSwap(old, nw) {
-			break
-		}
-	}
-	for {
-		old := h.minBits.Load()
-		if math.Float64frombits(old) <= v || h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.maxBits.Load()
-		if math.Float64frombits(old) >= v || h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-}
-
 // HistStats is a point-in-time summary of a histogram. NonFinite counts
 // quarantined NaN/±Inf observations, which participate in nothing else.
 type HistStats struct {
@@ -224,10 +186,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // countsPool recycles bucket-count scratch buffers across snapshots. Every
 // histogram shares the same geometry (nBuckets), so one pool serves all;
-// without it each Stats/Quantile call allocated a fresh ~4.5 KB slice,
-// which at flight-recorder cadence times every histogram in the registry
-// is steady GC pressure on the hot path for a buffer that lives
-// microseconds (BenchmarkHistogramStats proves the before/after).
+// without it each Stats/Quantile call allocated a fresh ~4.5 KB slice
+// for a buffer that lives microseconds, once per histogram on every
+// /metrics or /vars scrape and manifest snapshot
+// (BenchmarkHistogramStats proves the before/after).
 var countsPool = sync.Pool{
 	New: func() any {
 		b := make([]int64, nBuckets)

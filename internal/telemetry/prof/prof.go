@@ -3,30 +3,22 @@
 // profile that carries them.
 //
 // Telemetry (counters, histograms) and spans say how long each stage of a
-// run took; the flight recorder says how that evolved over time. Neither
-// says where the CPU time goes. This package closes that gap with three
-// small pieces, and leaves reading profiles to `go tool pprof`:
+// run took; neither says where the CPU time goes. This package closes
+// that gap with two small pieces, and leaves reading profiles to
+// `go tool pprof`:
 //
-//  1. Label propagation (this file): the CLI driver loops, the experiment
-//     drivers, the runner and the mux wrap their work in Do, which applies
-//     pprof goroutine labels drawn from a FIXED key set — figure,
-//     sweep_point, model, path, lane — so every CPU sample the Go profiler
-//     takes is attributable to an experiment coordinate. The key set is
-//     closed on purpose: an ad-hoc key would fragment attribution (the
-//     proflabels analyzer in internal/analysis enforces this at lint
-//     time).
+//  1. Label propagation: the CLI driver loops, the experiment drivers,
+//     the runner and the mux wrap their work in Do, which applies pprof
+//     goroutine labels drawn from a FIXED key set — figure, sweep_point,
+//     model, path, lane — so every CPU sample the Go profiler takes is
+//     attributable to an experiment coordinate. The key set is closed on
+//     purpose: an ad-hoc key would fragment attribution (the proflabels
+//     analyzer in internal/analysis enforces this at lint time).
 //
-//  2. StartCPUProfile (this file): the -cpuprofile flag of repro and
-//     atmsim. The profile is a standard gzipped pprof file, so
-//     `go tool pprof -top`, `-tags`, `-tagfocus=figure=fig8` and
-//     `-diff_base` answer where the time went, per label and between two
-//     runs.
-//
-//  3. A runtime/metrics bridge (runtime.go) exporting GC pause
-//     quantiles, scheduler latency, heap bytes and goroutine counts into
-//     the telemetry registry, so flight frames record them and SLO rules
-//     can watch them (p99(go_gc_pause_seconds) < 0.01,
-//     stalled(go_goroutines)).
+//  2. StartCPUProfile: the -cpuprofile flag of repro and atmsim. The
+//     profile is a standard gzipped pprof file, so `go tool pprof -top`,
+//     `-tags`, `-tagfocus=figure=fig8` and `-diff_base` answer where the
+//     time went, per label and between two runs.
 //
 // Profiling must never perturb results: labels and profiles are pure
 // observation, and CI diffs profiled against unprofiled smoke manifests
@@ -139,7 +131,7 @@ func WithLabels(ctx context.Context, l Labels) context.Context {
 }
 
 // StartCPUProfile starts the process-wide CPU profile, written to path
-// (its directory is created if missing, like the flight log's). The
+// (its directory is created if missing). The
 // returned stop function ends the profile and closes the file, reporting
 // the first write or close error; call it exactly once, on every exit
 // path, or the file stays empty. Starting a second profile while one

@@ -1,7 +1,11 @@
 package prof
 
 import (
+	"compress/gzip"
 	"context"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime/pprof"
 	"testing"
 )
@@ -85,5 +89,65 @@ func TestPairsCoverKeys(t *testing.T) {
 	}
 	if got := (Labels{Model: "V"}).pairs(); len(got) != 2 || got[0] != KeyModel {
 		t.Errorf("partial Labels pairs = %v, want [model V]", got)
+	}
+}
+
+// TestCPUProfileSession: StartCPUProfile and its stop function leave a
+// non-empty gzipped profile of the labelled work they covered.
+func TestCPUProfileSession(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sub", "cpu.pprof")
+	stop, err := StartCPUProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	Do(context.Background(), Labels{Figure: "prof-test"}, func(context.Context) {
+		for i := 1; i < 5_000_000; i++ {
+			sum += 1 / float64(i)
+		}
+	})
+	if err := stop(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	if sum == 0 {
+		t.Fatal("work loop was skipped")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile is not gzip: %v", err)
+	}
+	n, err := io.Copy(io.Discard, zr)
+	if err != nil || n == 0 {
+		t.Fatalf("profile decompressed to %d bytes (err %v), want a non-empty profile", n, err)
+	}
+}
+
+// TestCPUProfileAlreadyRunning: a second CPU profile is an error from
+// StartCPUProfile, not a panic, and the first profile is unaffected.
+func TestCPUProfileAlreadyRunning(t *testing.T) {
+	dir := t.TempDir()
+	stop, err := StartCPUProfile(filepath.Join(dir, "a.pprof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := StartCPUProfile(filepath.Join(dir, "b.pprof"))
+	if err == nil {
+		second()
+		stop()
+		t.Fatal("StartCPUProfile succeeded while a CPU profile was already running")
+	}
+	if second != nil {
+		t.Error("failed StartCPUProfile returned a stop function")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "b.pprof")); !os.IsNotExist(err) {
+		t.Errorf("failed StartCPUProfile left its file behind (stat err %v)", err)
+	}
+	if err := stop(); err != nil {
+		t.Errorf("first profile did not stop clean: %v", err)
 	}
 }

@@ -84,7 +84,7 @@ func New() *Tracer {
 // Enabled reports whether the tracer records spans.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Span is a handle on an in-flight span. The zero Span is a valid no-op:
+// Span is a handle on an open span. The zero Span is a valid no-op:
 // children of it are no-ops and End does nothing, so instrumented code
 // never needs to test whether tracing is on.
 type Span struct {

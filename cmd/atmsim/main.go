@@ -6,7 +6,7 @@
 //
 //	atmsim [-models z:0.975] [-c 538] [-n 30] [-buffers 0,2,5,10,20]
 //	       [-frames 100000] [-reps 8] [-seed 1] [-workers 0] [-bop]
-//	       [-adaptive] [-telemetry ADDR] [-trace FILE] [-cpuprofile FILE]
+//	       [-adaptive] [-trace FILE] [-cpuprofile FILE]
 //
 // With -adaptive (or an aimd:<spec> model spec) sources are closed-loop:
 // an AIMD controller scales each source's frame sizes against the queue
@@ -17,14 +17,12 @@
 // With -bop the infinite-buffer overflow probability P(W > x) is measured
 // instead, at the workload levels implied by -buffers. CLR replications
 // fan out over -workers cores (default: all); the estimates are
-// bit-identical for every worker count. With -telemetry ADDR (e.g. ":6060")
-// an HTTP endpoint serves live metrics (/metrics, /vars) and /debug/pprof
-// profiles for the duration of the run. With -trace FILE the run records a
+// bit-identical for every worker count. With -trace FILE the run records a
 // span tree (model → replication → mux chunk) and writes Chrome
 // trace-event JSON loadable in Perfetto. -cpuprofile FILE writes a
 // whole-run CPU profile, labelled by model, sweep point, engine path and
 // worker lane, for go tool pprof; it is written even when the run fails
-// or is interrupted. -v/-quiet adjust log verbosity. None of these sinks
+// or is interrupted. -v/-quiet adjust log verbosity. Neither sink
 // perturbs results.
 package main
 
@@ -67,7 +65,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "parallel replication workers (0 = all cores, 1 = serial)")
 		bop      = flag.Bool("bop", false, "measure infinite-buffer P(W > x) instead of finite-buffer CLR")
 		adaptive = flag.Bool("adaptive", false, "wrap every model in the closed-loop AIMD rate controller (default parameters; equivalent to an aimd:<spec> prefix)")
-		telem    = flag.String("telemetry", "", "serve live metrics/pprof on this address (e.g. :6060); empty = off")
 		trc      = flag.String("trace", "", "write Chrome trace-event JSON of the run's span tree to this file (load in Perfetto)")
 		cpuProf  = flag.String("cpuprofile", "", "write a whole-run CPU profile, labelled by figure/sweep_point/model/path/lane, to this file (read with go tool pprof); empty = off")
 		verbose  = flag.Bool("v", false, "verbose logging (debug level)")
@@ -90,14 +87,6 @@ func main() {
 		if stopCPU, err = prof.StartCPUProfile(*cpuProf); err != nil {
 			fatal(fmt.Errorf("-cpuprofile: %w", err))
 		}
-	}
-	if *telem != "" {
-		srv, addr, err := telemetry.Serve(*telem, telemetry.Default)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		logx.Infof("telemetry on http://%s (/metrics, /vars, /debug/pprof/)", addr)
 	}
 
 	ms, err := modelspec.ParseList(*specs)

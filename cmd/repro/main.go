@@ -8,7 +8,7 @@
 //
 //	repro [-exp all|table1,fig1,...,fig10] [-reps N] [-frames N]
 //	      [-seed N] [-out DIR] [-csv] [-workers N] [-checkpoint FILE]
-//	      [-telemetry ADDR] [-trace FILE] [-cpuprofile FILE]
+//	      [-trace FILE] [-cpuprofile FILE]
 //
 // Simulation replications fan out over -workers cores (default: all);
 // results are bit-identical for every worker count. With -checkpoint,
@@ -18,17 +18,14 @@
 // Observability: with -out DIR the run writes DIR/manifest.jsonl — a
 // structured JSONL record of the run (seed, git revision, config, per-stage
 // wall times, per-series results with CLR confidence bounds and convergence
-// verdicts, wall/CPU totals, the final metrics snapshot and the span timing
-// table) that telemetry.ReadManifest decodes. With -telemetry ADDR (e.g.
-// ":6060") an HTTP endpoint serves live metrics (/metrics Prometheus text,
-// /vars JSON) and /debug/pprof profiles while the run progresses. With
-// -trace FILE the run records a span tree (figure → sweep → replication →
-// mux chunk) and writes it as Chrome trace-event JSON, loadable in
-// Perfetto or chrome://tracing. With -cpuprofile FILE the whole run is
-// CPU-profiled, each sample labelled with the figure/model/sweep-point/
-// path/lane it was spent on; read it with go tool pprof (-top, -tags,
-// -tagfocus=figure=fig8, -diff_base). The profile is written even when
-// the run fails or is interrupted. -v/-quiet raise/lower log verbosity.
+// verdicts, wall/CPU totals and the final metrics snapshot) that
+// telemetry.ReadManifest decodes. With -trace FILE the run records a span
+// tree (figure → sweep → replication → mux chunk) and writes it as Chrome
+// trace-event JSON, loadable in Perfetto or chrome://tracing. With
+// -cpuprofile FILE the whole run is CPU-profiled, each sample labelled
+// with the figure/model/sweep-point/path/lane it was spent on; read it
+// with go tool pprof (-top, -tags, -tagfocus=figure=fig8, -diff_base).
+// The profile is written even when the run fails or is interrupted. -v/-quiet raise/lower log verbosity.
 // None of these sinks perturbs results: fixed-seed outputs are
 // bit-identical with every combination on or off.
 package main
@@ -70,7 +67,6 @@ func main() {
 		csv     = flag.Bool("csv", false, "also print CSV to stdout")
 		workers = flag.Int("workers", 0, "parallel simulation workers (0 = all cores, 1 = serial)")
 		ckpt    = flag.String("checkpoint", "", "checkpoint file: persist finished replications and resume interrupted runs")
-		telem   = flag.String("telemetry", "", "serve live metrics/pprof on this address (e.g. :6060); empty = off")
 		trc     = flag.String("trace", "", "write Chrome trace-event JSON of the run's span tree to this file (load in Perfetto)")
 		convRel = flag.Float64("convrel", 0, "target relative 95% CI half-width for convergence verdicts (0 = default 0.5)")
 		cpuProf = flag.String("cpuprofile", "", "write a whole-run CPU profile, labelled by figure/sweep_point/model/path/lane, to this file (read with go tool pprof); empty = off")
@@ -95,8 +91,7 @@ func main() {
 	defer cancel()
 
 	// The engine records into the process-wide default registry so runner
-	// progress, mux chunk metrics and experiment stage timers share the
-	// exposition endpoint and manifest snapshot.
+	// progress and mux chunk metrics share the manifest snapshot.
 	eng := runner.NewWithRegistry(*workers, telemetry.Default)
 	if *ckpt != "" {
 		c, err := runner.OpenCheckpoint(*ckpt)
@@ -121,15 +116,6 @@ func main() {
 		if stopCPU, err = prof.StartCPUProfile(*cpuProf); err != nil {
 			fatal(fmt.Errorf("-cpuprofile: %w", err))
 		}
-	}
-
-	if *telem != "" {
-		srv, addr, err := telemetry.Serve(*telem, telemetry.Default)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		logx.Infof("telemetry on http://%s (/metrics, /vars, /debug/pprof/)", addr)
 	}
 
 	sim := experiments.SimConfig{
@@ -279,7 +265,6 @@ func main() {
 			CPUSeconds:  telemetry.CPUSeconds(),
 			End:         time.Now().Format(time.RFC3339Nano),
 			Metrics:     telemetry.Default.Snapshot(),
-			Spans:       spanSummaries(tracer),
 		})
 		if err != nil {
 			fatal(err)
@@ -328,19 +313,6 @@ func convRecord(v diag.Verdict) telemetry.ConvRecord {
 	return telemetry.ConvRecord{
 		N: v.N, NonFinite: v.NonFinite, RelCI: rel, ESS: v.ESS, Converged: v.Converged,
 	}
-}
-
-// spanSummaries converts the tracer's aggregated timing table into its
-// manifest form (nil tracer → nil, omitted from the summary line).
-func spanSummaries(t *trace.Tracer) []telemetry.SpanSummary {
-	var out []telemetry.SpanSummary
-	for _, s := range t.Summarize() {
-		out = append(out, telemetry.SpanSummary{
-			Name: s.Name, Count: s.Count, TotalSeconds: s.TotalSeconds,
-			MinSeconds: s.MinSeconds, MaxSeconds: s.MaxSeconds,
-		})
-	}
-	return out
 }
 
 func emitText(id, text, outDir string) {

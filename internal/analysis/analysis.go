@@ -20,8 +20,8 @@
 //     and internal/telemetry — output goes through the leveled logger.
 //   - floateq:     no ==/!= on floating-point operands except against a
 //     literal zero or under an explicit waiver.
-//   - pprofimport: net/http/pprof linked only via internal/telemetry;
-//     runtime/pprof linked only via internal/telemetry/prof.
+//   - pprofimport: net/http/pprof linked nowhere; runtime/pprof linked
+//     only via internal/telemetry/prof.
 //   - proflabels:  runtime/pprof's goroutine-label API called only in
 //     internal/telemetry/prof, and literal label keys drawn only from
 //     the fixed set figure/sweep_point/model/path/lane.

@@ -77,14 +77,3 @@ func TestRepositoryIsClean(t *testing.T) {
 		t.Errorf("%s", d)
 	}
 }
-
-// TestByName pins the -run subset resolution including its error shape.
-func TestByName(t *testing.T) {
-	got, err := analysis.ByName("seedflow", "floateq")
-	if err != nil || len(got) != 2 || got[0].Name != "seedflow" || got[1].Name != "floateq" {
-		t.Fatalf("ByName(seedflow, floateq) = %v, %v", got, err)
-	}
-	if _, err := analysis.ByName("nosuch"); err == nil {
-		t.Fatal("ByName(nosuch) succeeded, want error")
-	}
-}

@@ -23,32 +23,6 @@ func All() []*Analyzer {
 	return append([]*Analyzer(nil), registry...)
 }
 
-// ByName resolves registered analyzers from a list of names (as given to
-// repolint -run), or reports the first unknown name.
-func ByName(names ...string) ([]*Analyzer, error) {
-	byName := make(map[string]*Analyzer, len(registry))
-	for _, a := range registry {
-		byName[a.Name] = a
-	}
-	out := make([]*Analyzer, 0, len(names))
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, &UnknownAnalyzerError{Name: n}
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// UnknownAnalyzerError reports a name that resolves to no registered
-// analyzer.
-type UnknownAnalyzerError struct{ Name string }
-
-func (e *UnknownAnalyzerError) Error() string {
-	return "unknown analyzer " + e.Name + "; run repolint -list for the registered suite"
-}
-
 // Names returns the set of registered analyzer names, the vocabulary
 // //lint: waivers may reference.
 func Names() map[string]bool {

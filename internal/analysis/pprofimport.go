@@ -4,12 +4,13 @@ import (
 	"strconv"
 )
 
-// restrictedImports maps each profiling import to the single package
-// tree allowed to link it, with the hazard the restriction prevents.
+// restrictedImports maps each profiling import to the package tree
+// allowed to link it ("" = none), with the hazard the restriction
+// prevents.
 //
 //   - net/http/pprof: its import side effect registers handlers on
-//     http.DefaultServeMux; profiling endpoints are exposed exclusively
-//     through telemetry's opt-in listener.
+//     http.DefaultServeMux, and nothing in the module serves HTTP.
+//     Profiling is the -cpuprofile file, read with go tool pprof.
 //   - runtime/pprof: internal/telemetry/prof owns the process-wide CPU
 //     profiler through StartCPUProfile (which fails if a second caller
 //     starts it, as -cpuprofile does once per run) and the fixed label
@@ -21,20 +22,19 @@ var restrictedImports = []struct {
 	owner string
 	why   string
 }{
-	{"net/http/pprof", "internal/telemetry", "profiling is exposed only via the telemetry listener"},
+	{"net/http/pprof", "", "profiling is the -cpuprofile file, read with go tool pprof"},
 	{"runtime/pprof", "internal/telemetry/prof", "prof owns StartCPUProfile and the label key set"},
 }
 
-// PprofImport is the analyzer form of the boundary previously enforced
-// by internal/telemetry/lint_test.go's go/parser walk (and a CI grep):
-// importing net/http/pprof anywhere else would silently mount profiling
-// endpoints on any default-mux server the process starts, and importing
-// runtime/pprof anywhere else would let ad-hoc captures fight
+// PprofImport keeps profiling linked only through its owner: importing
+// net/http/pprof anywhere would silently mount profiling endpoints on
+// any default-mux server the process starts, and importing runtime/pprof
+// outside internal/telemetry/prof would let ad-hoc captures fight
 // StartCPUProfile over the single CPU profiler.
 var PprofImport = &Analyzer{
 	Name: "pprofimport",
-	Doc: "flags net/http/pprof imports outside internal/telemetry and runtime/pprof " +
-		"imports outside internal/telemetry/prof — profiling is linked only through its owning package",
+	Doc: "flags any net/http/pprof import and runtime/pprof imports outside " +
+		"internal/telemetry/prof — profiling is linked only through its owning package",
 	Run: runPprofImport,
 }
 
@@ -46,7 +46,13 @@ func runPprofImport(pass *Pass) error {
 				continue
 			}
 			for _, r := range restrictedImports {
-				if path == r.path && !pathAllowed(pass.RelPath, r.owner) {
+				if path != r.path {
+					continue
+				}
+				switch {
+				case r.owner == "":
+					pass.Reportf(imp.Pos(), "%s imported; %s", r.path, r.why)
+				case !pathAllowed(pass.RelPath, r.owner):
 					pass.Reportf(imp.Pos(), "%s imported outside %s; %s", r.path, r.owner, r.why)
 				}
 			}

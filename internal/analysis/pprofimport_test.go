@@ -9,8 +9,8 @@ import (
 
 func TestPprofImport(t *testing.T) {
 	analysistest.Run(t, fixtureModule(t), analysis.PprofImport,
-		"fix/pprof",                   // stray imports flagged
-		"fix/internal/telemetry",      // the exposition package is exempt
-		"fix/internal/telemetry/prof", // the profile owner may link runtime/pprof
+		"fix/pprof",                       // stray imports flagged
+		"fix/internal/telemetry/httpprof", // net/http/pprof flagged even under telemetry
+		"fix/internal/telemetry/prof",     // the profile owner may link runtime/pprof
 	)
 }

@@ -1,13 +1,10 @@
 // Package telemetry stands in for the real internal/telemetry: it owns
-// the leveled logger's stderr default and the opt-in pprof exposition,
-// so printguard and pprofimport stay silent here.
+// the leveled logger's stderr default, so printguard stays silent here.
 package telemetry
 
 import (
 	"fmt"
 	"os"
-
-	_ "net/http/pprof"
 )
 
 func Logf(format string, args ...any) {

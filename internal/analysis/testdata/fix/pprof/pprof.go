@@ -1,6 +1,6 @@
 // Package pprof exercises the pprofimport analyzer: linking
-// net/http/pprof outside internal/telemetry mounts profiling handlers
-// on http.DefaultServeMux as an import side effect, and linking
+// net/http/pprof anywhere mounts profiling handlers on
+// http.DefaultServeMux as an import side effect, and linking
 // runtime/pprof outside internal/telemetry/prof lets ad-hoc captures
 // fight StartCPUProfile over the single CPU profiler.
 package pprof
@@ -8,7 +8,7 @@ package pprof
 import (
 	"net/http"
 
-	_ "net/http/pprof" // want "net/http/pprof imported outside internal/telemetry"
+	_ "net/http/pprof" // want "net/http/pprof imported"
 	_ "runtime/pprof"  // want "runtime/pprof imported outside internal/telemetry/prof"
 )
 

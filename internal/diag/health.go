@@ -20,9 +20,9 @@ const minNormal = 2.2250738585072014e-308
 // atomic traffic, cheap enough for per-evaluation use inside optimizer
 // scans. Each violation is mirrored into a telemetry.Default counter
 // ("diag_health_total" with site/class labels, resolved once at probe
-// creation) so it surfaces on /metrics and in run manifests without
-// polling — and so even a pathological stream of violations costs two
-// atomic adds each, never a registry lookup.
+// creation) so it surfaces in run manifests without polling — and so
+// even a pathological stream of violations costs two atomic adds each,
+// never a registry lookup.
 type Probe struct {
 	site                     string
 	nan, inf, subn, underflo atomic.Int64

@@ -20,7 +20,6 @@ func acfSeries(m traffic.Model, maxLag int) Series {
 
 // Table1 regenerates the paper's Table 1 (all derived model parameters).
 func Table1() (*models.Table1, error) {
-	defer stage("table1")()
 	return models.DeriveTable1()
 }
 
@@ -28,7 +27,6 @@ func Table1() (*models.Table1, error) {
 // Z^a and V^v. Two panels: the V^v family and the Z^a family over short
 // lags.
 func Fig1() ([]*Result, error) {
-	defer stage("fig1")()
 	const maxLag = 60
 	va := &Result{
 		ID: "fig1a", Title: "Effect of v on the ACF of V^v (fixed short-term correlations)",
@@ -59,7 +57,6 @@ func Fig1() ([]*Result, error) {
 // matched DAR(1) for N = 10 multiplexed sources, exposing the
 // burst-within-burst structure of the LRD model.
 func Fig2(frames int, seed int64) (*Result, error) {
-	defer stage("fig2")()
 	if frames < 1 {
 		return nil, fmt.Errorf("experiments: frames = %d must be ≥ 1", frames)
 	}
@@ -101,7 +98,6 @@ func Fig2(frames int, seed int64) (*Result, error) {
 //	(c) DAR(p) matched to Z^0.7.
 //	(d) DAR(p) matched to Z^0.975.
 func Fig3() ([]*Result, error) {
-	defer stage("fig3")()
 	a := &Result{ID: "fig3a", Title: "ACF of V^v", XLabel: "lag", YLabel: "r(k)"}
 	for _, v := range models.VValues {
 		m, err := models.NewV(v)

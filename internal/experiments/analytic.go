@@ -29,7 +29,6 @@ func ctsSeries(m traffic.Model, c float64, n int, grid []float64) (Series, error
 // Fig4 regenerates Figure 4: the CTS m*_b versus total buffer size for (a)
 // the V^v family and (b) the Z^a family, with c = 526, μ = 500, N = 100.
 func Fig4() ([]*Result, error) {
-	defer stage("fig4")()
 	a := &Result{
 		ID: "fig4a", Title: "Critical time scale of V^v (c=526, N=100)",
 		XLabel: "buffer msec", YLabel: "m*_b (frames)",
@@ -84,7 +83,6 @@ func bopSeries(m traffic.Model, c float64, n int, grid []float64) (Series, error
 // Fig5 regenerates Figure 5: Bahadur-Rao BOP versus buffer for (a) V^v and
 // (b) Z^a with N = 30, c = 538.
 func Fig5() ([]*Result, error) {
-	defer stage("fig5")()
 	a := &Result{
 		ID: "fig5a", Title: "B-R BOP of V^v (c=538, N=30)",
 		XLabel: "buffer msec", YLabel: "P(W>B)",
@@ -164,7 +162,6 @@ func fig6Panel(id string, targetA float64, includeL bool, grid []float64) (*Resu
 // practical buffer range — (a) Z^0.975 vs DAR(1..3) vs L, (b) Z^0.7 vs
 // DAR(1..3).
 func Fig6() ([]*Result, error) {
-	defer stage("fig6")()
 	a, err := fig6Panel("fig6a", 0.975, true, BufferGridMsec)
 	if err != nil {
 		return nil, err
@@ -181,7 +178,6 @@ func Fig6() ([]*Result, error) {
 // (the origin of the two myths). L appears in both panels here, as in the
 // paper.
 func Fig7() ([]*Result, error) {
-	defer stage("fig7")()
 	a, err := fig6Panel("fig7a", 0.975, true, WideBufferGridMsec)
 	if err != nil {
 		return nil, err

@@ -123,7 +123,6 @@ func closedLoopBases() ([]traffic.Model, error) {
 // Both fan replications over cfg's engine and are bit-identical for any
 // worker count.
 func ExtClosedLoop(cfg SimConfig) (*Result, error) {
-	defer stage("extloop")()
 	bases, err := closedLoopBases()
 	if err != nil {
 		return nil, err

@@ -19,7 +19,6 @@ import (
 	"repro/internal/diag"
 	"repro/internal/models"
 	"repro/internal/runner"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -36,14 +35,6 @@ type Series struct {
 	Lo       []float64
 	Hi       []float64
 	Verdicts []diag.Verdict
-}
-
-// stage times one experiment driver into the telemetry.Default stage-timer
-// family: defer stage("fig8")() as the driver's first statement. The
-// per-stage wall times surface on the -telemetry endpoint and in run
-// manifests, pricing each figure of a sweep individually.
-func stage(id string) func() {
-	return telemetry.Default.Timer("experiments_stage_seconds", telemetry.L("stage", id)).Start()
 }
 
 // Result is one table or figure panel.

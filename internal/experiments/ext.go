@@ -23,7 +23,6 @@ import (
 // machinery applies unchanged and shows how much extra buffer the
 // periodicity costs.
 func ExtMPEG() ([]*Result, error) {
-	defer stage("extmpeg")()
 	z, err := models.NewZ(0.9)
 	if err != nil {
 		return nil, err
@@ -68,7 +67,6 @@ func ExtMPEG() ([]*Result, error) {
 // The spread across substrates at equal H is itself the paper's message:
 // the Hurst parameter alone does not determine queueing behaviour.
 func ExtSubstrates() ([]*Result, error) {
-	defer stage("extsub")()
 	z, err := models.NewZ(0.9)
 	if err != nil {
 		return nil, err
@@ -123,7 +121,6 @@ func ExtSubstrates() ([]*Result, error) {
 // V(m) = σ²m^{2H}. One panel per Hurst parameter, three series each
 // (Weibull Eq. 6, Bahadur-Rao, Large-N).
 func ExtWeibull() ([]*Result, error) {
-	defer stage("extweibull")()
 	var out []*Result
 	for _, h := range []float64{0.7, 0.86, 0.9} {
 		m, err := fgn.NewModel(h, models.Mean, models.Variance)
@@ -177,7 +174,6 @@ func ExtWeibull() ([]*Result, error) {
 // operating point is adjusted; this experiment quantifies how much the
 // marginal alone moves the loss curve.
 func ExtMarginals(cfg SimConfig) (*Result, error) {
-	defer stage("extmarg")()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 // assume this amplification is bounded by loss clustering, which the
 // experiment verifies.
 func ExtFLR(cfg SimConfig) (*Result, error) {
-	defer stage("extflr")()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -82,7 +82,6 @@ func clrSeries(m traffic.Model, c float64, n int, grid []float64, cfg SimConfig)
 // Fig8 regenerates Figure 8: simulated finite-buffer CLRs of (a) V^v and
 // (b) Z^a with N = 30 and c = 538 — the empirical confirmation of Fig 5.
 func Fig8(cfg SimConfig) ([]*Result, error) {
-	defer stage("fig8")()
 	a := &Result{
 		ID: "fig8a", Title: "Simulated CLR of V^v (c=538, N=30)",
 		XLabel: "buffer msec", YLabel: "CLR",
@@ -120,7 +119,6 @@ func Fig8(cfg SimConfig) ([]*Result, error) {
 // DAR(p) models — the empirical confirmation of Fig 6. Panel (a) uses
 // Z^0.975 (with L), panel (b) Z^0.7.
 func Fig9(cfg SimConfig) ([]*Result, error) {
-	defer stage("fig9")()
 	var out []*Result
 	for i, target := range []float64{0.975, 0.7} {
 		z, err := models.NewZ(target)
@@ -168,7 +166,6 @@ func Fig9(cfg SimConfig) ([]*Result, error) {
 // asymptotics against simulation for the DAR(1) model matched to Z^0.975.
 // Three series: B-R asymptotic, large-N asymptotic, and the simulated CLR.
 func Fig10(cfg SimConfig) (*Result, error) {
-	defer stage("fig10")()
 	z, err := models.NewZ(0.975)
 	if err != nil {
 		return nil, err

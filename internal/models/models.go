@@ -183,8 +183,8 @@ func NewZ(a float64) (*Composite, error) {
 // with a = 0.8 (paper §3.3: "for different values of v, the first-lag
 // correlation is identical").
 func NewV(v float64) (*Composite, error) {
-	if v <= 0 {
-		return nil, fmt.Errorf("models: V parameter v = %v must be positive", v)
+	if !(v > 0) || math.IsInf(v, 1) {
+		return nil, fmt.Errorf("models: V parameter v = %v must be positive and finite", v)
 	}
 	muX, _, muY, varY := componentSplit(v)
 	// T0 from the v = 1 split, held fixed across v. Because every split

@@ -58,7 +58,7 @@ func TestZParameterValidation(t *testing.T) {
 }
 
 func TestVParameterValidation(t *testing.T) {
-	for _, v := range []float64{0, -1} {
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := NewV(v); err == nil {
 			t.Errorf("NewV(%v): expected error", v)
 		}

@@ -21,6 +21,7 @@ package modelspec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -67,7 +68,7 @@ func Parse(spec string) (traffic.Model, error) {
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("modelspec: want dar:<a>:<p>, got %q", spec)
 		}
-		a, err := strconv.ParseFloat(parts[1], 64)
+		a, err := parseFinite(parts[1])
 		if err != nil {
 			return nil, fmt.Errorf("modelspec: bad a in %q: %w", spec, err)
 		}
@@ -153,9 +154,23 @@ func oneArg(parts []string, usage string) (float64, error) {
 	if len(parts) != 2 {
 		return 0, fmt.Errorf("modelspec: want %s, got %q", usage, strings.Join(parts, ":"))
 	}
-	v, err := strconv.ParseFloat(parts[1], 64)
+	v, err := parseFinite(parts[1])
 	if err != nil {
 		return 0, fmt.Errorf("modelspec: bad number in %q: %w", strings.Join(parts, ":"), err)
+	}
+	return v, nil
+}
+
+// parseFinite parses a float and rejects NaN and ±Inf, which
+// strconv.ParseFloat accepts ("nan", "inf") and which slip past the
+// models' lo < x < hi range checks.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
 	}
 	return v, nil
 }

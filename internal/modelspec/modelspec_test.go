@@ -1,6 +1,7 @@
 package modelspec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,23 @@ func TestParseInvalid(t *testing.T) {
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("%q: expected error", spec)
+		}
+	}
+}
+
+// TestParseRejectsNonFinite feeds every numeric parameter NaN and ±Inf.
+// strconv.ParseFloat accepts them, and each lo < x < hi range check lets
+// NaN through, so without an explicit guard z:nan simulated all-zero CLRs
+// and v:inf hung the generator.
+func TestParseRejectsNonFinite(t *testing.T) {
+	forms := []string{"z:%s", "v:%s", "dar:%s:1", "dar1:%s", "fgn:%s", "mginf:%s",
+		"mpeg:%s", "farima:%s", "mmpp:%s", "aimd:z:%s"}
+	for _, form := range forms {
+		for _, x := range []string{"nan", "NaN", "inf", "+Inf", "-inf", "infinity"} {
+			spec := fmt.Sprintf(form, x)
+			if m, err := Parse(spec); err == nil {
+				t.Errorf("%q: parsed as %s, want an error", spec, m.Name())
+			}
 		}
 	}
 }

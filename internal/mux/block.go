@@ -9,8 +9,8 @@ import (
 )
 
 // Package-level telemetry, recorded into telemetry.Default so every
-// simulation in the process aggregates into one place (exposed by the
-// CLIs' -telemetry endpoint and run manifests). All metrics are
+// simulation in the process aggregates into one place (the run
+// manifest's final metrics snapshot). All metrics are
 // observational: they never touch the random streams, so fixed-seed
 // results are bit-identical whether or not anything reads them.
 //

@@ -31,11 +31,11 @@ func (c MixConfig) Validate() error {
 	if err := c.Mix.Validate(); err != nil {
 		return err
 	}
-	if c.TotalC <= 0 {
-		return fmt.Errorf("mux: capacity %v must be positive", c.TotalC)
+	if !positive(c.TotalC) {
+		return fmt.Errorf("mux: capacity %v must be positive and finite", c.TotalC)
 	}
-	if c.TotalB < 0 {
-		return fmt.Errorf("mux: buffer %v must be non-negative", c.TotalB)
+	if !nonNegative(c.TotalB) {
+		return fmt.Errorf("mux: buffer %v must be non-negative and finite", c.TotalB)
 	}
 	if c.Frames < 1 || c.Warmup < 0 {
 		return fmt.Errorf("mux: invalid horizon frames=%d warmup=%d", c.Frames, c.Warmup)

@@ -74,6 +74,11 @@ type Config struct {
 	Ctx context.Context
 }
 
+// positive and nonNegative report whether x lies in (0, ∞) or [0, ∞).
+// NaN and +Inf fail both; a bare x <= 0 or x < 0 check lets NaN through.
+func positive(x float64) bool    { return x > 0 && !math.IsInf(x, 1) }
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Model == nil {
@@ -82,11 +87,11 @@ func (c Config) Validate() error {
 	if c.N < 1 {
 		return fmt.Errorf("mux: N = %d must be ≥ 1", c.N)
 	}
-	if c.C <= 0 {
-		return fmt.Errorf("mux: bandwidth c = %v must be positive", c.C)
+	if !positive(c.C) {
+		return fmt.Errorf("mux: bandwidth c = %v must be positive and finite", c.C)
 	}
-	if c.B < 0 {
-		return fmt.Errorf("mux: buffer b = %v must be non-negative", c.B)
+	if !nonNegative(c.B) {
+		return fmt.Errorf("mux: buffer b = %v must be non-negative and finite", c.B)
 	}
 	if c.Frames < 1 {
 		return fmt.Errorf("mux: frames = %d must be ≥ 1", c.Frames)
@@ -313,7 +318,7 @@ func (c BOPConfig) Validate() error {
 	if c.Model == nil {
 		return fmt.Errorf("mux: nil model")
 	}
-	if c.N < 1 || c.C <= 0 || c.Frames < 1 || c.Warmup < 0 {
+	if c.N < 1 || !positive(c.C) || c.Frames < 1 || c.Warmup < 0 {
 		return fmt.Errorf("mux: invalid BOP config N=%d c=%v frames=%d warmup=%d",
 			c.N, c.C, c.Frames, c.Warmup)
 	}
@@ -321,8 +326,8 @@ func (c BOPConfig) Validate() error {
 		return fmt.Errorf("mux: no thresholds")
 	}
 	for _, x := range c.Thresholds {
-		if x < 0 {
-			return fmt.Errorf("mux: negative threshold %v", x)
+		if !nonNegative(x) {
+			return fmt.Errorf("mux: threshold %v must be non-negative and finite", x)
 		}
 	}
 	return nil

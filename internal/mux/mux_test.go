@@ -52,6 +52,13 @@ func TestConfigValidate(t *testing.T) {
 		{Model: m, N: 2, C: 2, B: -1, Frames: 10},
 		{Model: m, N: 2, C: 2, B: 1, Frames: 0},
 		{Model: m, N: 2, C: 2, B: 1, Frames: 10, Warmup: -1},
+		// NaN passes a bare c <= 0 or b < 0 check and silently simulates
+		// zero loss; ±Inf is no bandwidth or buffer either.
+		{Model: m, N: 2, C: math.NaN(), B: 1, Frames: 10},
+		{Model: m, N: 2, C: math.Inf(1), B: 1, Frames: 10},
+		{Model: m, N: 2, C: 2, B: math.NaN(), Frames: 10},
+		{Model: m, N: 2, C: 2, B: math.Inf(1), Frames: 10},
+		{Model: m, N: 2, C: 2, B: math.Inf(-1), Frames: 10},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -261,6 +268,9 @@ func TestBOPConfigValidate(t *testing.T) {
 		{Model: m, N: 0, C: 2, Frames: 10, Thresholds: []float64{1}},
 		{Model: m, N: 1, C: 2, Frames: 10},
 		{Model: m, N: 1, C: 2, Frames: 10, Thresholds: []float64{-1}},
+		{Model: m, N: 1, C: math.NaN(), Frames: 10, Thresholds: []float64{1}},
+		{Model: m, N: 1, C: math.Inf(1), Frames: 10, Thresholds: []float64{1}},
+		{Model: m, N: 1, C: 2, Frames: 10, Thresholds: []float64{math.NaN()}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

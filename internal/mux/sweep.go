@@ -30,8 +30,8 @@ func RunSweep(cfg Config, buffersCells []float64) ([]Result, error) {
 	bs := append([]float64(nil), buffersCells...)
 	sort.Float64s(bs)
 	for _, b := range bs {
-		if b < 0 {
-			return nil, fmt.Errorf("mux: negative buffer %v in sweep", b)
+		if !nonNegative(b) {
+			return nil, fmt.Errorf("mux: buffer %v in sweep must be non-negative and finite", b)
 		}
 	}
 

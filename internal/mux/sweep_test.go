@@ -65,6 +65,16 @@ func TestRunSweepValidation(t *testing.T) {
 	if _, err := RunSweep(cfg, []float64{-1}); err == nil {
 		t.Error("negative buffer should error")
 	}
+	for _, b := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := RunSweep(cfg, []float64{0, b}); err == nil {
+			t.Errorf("buffer %v should error", b)
+		}
+	}
+	nanC := cfg
+	nanC.C = math.NaN()
+	if _, err := RunSweep(nanC, []float64{1}); err == nil {
+		t.Error("NaN bandwidth should error")
+	}
 	bad := cfg
 	bad.N = 0
 	if _, err := RunSweep(bad, []float64{1}); err == nil {
@@ -235,6 +245,8 @@ func TestRunMixValidation(t *testing.T) {
 		{Mix: core.Mix{{Model: z, Count: 1}}, TotalC: 0, TotalB: 10, Frames: 10},
 		{Mix: core.Mix{{Model: z, Count: 1}}, TotalC: 600, TotalB: -1, Frames: 10},
 		{Mix: core.Mix{{Model: z, Count: 1}}, TotalC: 600, TotalB: 10, Frames: 0},
+		{Mix: core.Mix{{Model: z, Count: 1}}, TotalC: math.NaN(), TotalB: 10, Frames: 10},
+		{Mix: core.Mix{{Model: z, Count: 1}}, TotalC: 600, TotalB: math.NaN(), Frames: 10},
 	}
 	for i, c := range bad {
 		if _, err := RunMix(c); err == nil {

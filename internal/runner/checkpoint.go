@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -35,24 +36,30 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("runner: open checkpoint: %w", err)
 	}
 	c := &Checkpoint{path: path, f: f, entries: make(map[string]json.RawMessage)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// Only newline-terminated lines are complete: a final line without
+	// its newline is torn (even if it happens to parse) and is dropped, so
+	// the truncation below never extends the file and the next append
+	// starts a fresh line.
+	r := bufio.NewReader(f)
 	var valid int64
-	for sc.Scan() {
-		line := sc.Bytes()
+	for {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			if err != io.EOF {
+				f.Close()
+				return nil, fmt.Errorf("runner: read checkpoint: %w", err)
+			}
+			break
+		}
 		var e checkpointLine
 		if err := json.Unmarshal(line, &e); err != nil || e.K == "" {
-			// A torn final line from an interrupted run; everything
-			// after it is unreachable, so stop and truncate to the
-			// last valid entry.
+			// A corrupt line from an interrupted run; everything after
+			// it is unreachable, so stop and truncate to the last valid
+			// entry.
 			break
 		}
 		c.entries[e.K] = e.V
-		valid += int64(len(line)) + 1
-	}
-	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
-		f.Close()
-		return nil, fmt.Errorf("runner: read checkpoint: %w", err)
+		valid += int64(len(line))
 	}
 	if err := f.Truncate(valid); err != nil {
 		f.Close()

@@ -19,8 +19,7 @@
 // the snapshot view over them, and an optional periodic logger renders it.
 // New engines record into a private registry so concurrently-running
 // engines (e.g. in tests) stay independent; CLIs pass telemetry.Default via
-// NewWithRegistry so the counters surface on the -telemetry endpoint and in
-// run manifests.
+// NewWithRegistry so the counters surface in run manifests.
 package runner
 
 import (
@@ -115,8 +114,8 @@ func New(workers int) *Engine {
 }
 
 // NewWithRegistry builds an engine that records its progress counters in
-// reg — pass telemetry.Default to surface them on a process's exposition
-// endpoint and manifests. A nil reg gets a private registry. Two engines
+// reg — pass telemetry.Default to surface them in a process's run
+// manifest. A nil reg gets a private registry. Two engines
 // sharing one registry share (sum into) the same counters.
 func NewWithRegistry(workers int, reg *telemetry.Registry) *Engine {
 	if workers <= 0 {

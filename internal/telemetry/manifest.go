@@ -87,25 +87,13 @@ type ResultRecord struct {
 	Series []SeriesRecord `json:"series,omitempty"`
 }
 
-// SpanSummary is the manifest form of one span name's aggregated timing
-// (the trace layer's "where did the run go" table).
-type SpanSummary struct {
-	Name         string  `json:"name"`
-	Count        int64   `json:"count"`
-	TotalSeconds float64 `json:"total_seconds"`
-	MinSeconds   float64 `json:"min_seconds"`
-	MaxSeconds   float64 `json:"max_seconds"`
-}
-
-// RunSummary closes a manifest with resource totals, the final state of
-// the metrics registry, and — when tracing was enabled — the aggregated
-// span timing table.
+// RunSummary closes a manifest with resource totals and the final state
+// of the metrics registry.
 type RunSummary struct {
-	WallSeconds float64       `json:"wall_seconds"`
-	CPUSeconds  float64       `json:"cpu_seconds"`
-	End         string        `json:"end"` // RFC3339Nano
-	Metrics     []Snapshot    `json:"metrics,omitempty"`
-	Spans       []SpanSummary `json:"spans,omitempty"`
+	WallSeconds float64    `json:"wall_seconds"`
+	CPUSeconds  float64    `json:"cpu_seconds"`
+	End         string     `json:"end"` // RFC3339Nano
+	Metrics     []Snapshot `json:"metrics,omitempty"`
 }
 
 // Manifest is the decoded form of a manifest file.

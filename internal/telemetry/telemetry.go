@@ -1,21 +1,20 @@
 // Package telemetry is the repository's observability layer: a lock-cheap
 // metrics registry (atomic counters, float counters, gauges, streaming
-// histograms with quantile estimates, and timers) with labeled metric
-// families, plus two sinks — a structured JSONL run-manifest writer
-// (manifest.go) and an HTTP exposition endpoint serving expvar-style JSON,
-// Prometheus text format and net/http/pprof (expose.go).
+// count/sum/min/max histograms, and timers) with labeled metric families,
+// and its one sink, the structured JSONL run manifest (manifest.go), whose
+// summary line carries the final registry snapshot.
 //
 // Design constraints, in order:
 //
 //  1. Recording must never perturb results. Metrics are observational:
 //     nothing in this package touches random number streams or simulation
-//     state, so fixed-seed outputs are bit-identical with telemetry read,
-//     exposed, or ignored.
+//     state, so fixed-seed outputs are bit-identical with telemetry read
+//     or ignored.
 //  2. Recording must be cheap enough for simulation hot paths. Counter.Add
 //     is one atomic add; FloatCounter/Gauge are one CAS loop (uncontended
 //     in practice — writers are per-chunk, not per-frame); Histogram.Observe
-//     is one bucket-index computation plus a handful of atomics. No locks
-//     are taken after a metric has been created.
+//     is a handful of atomics. No locks are taken after a metric has been
+//     created.
 //  3. Reading is approximately consistent. Snapshots read each atomic
 //     individually without fencing the set, which is the usual (and here
 //     sufficient) contract for progress observability.
@@ -37,8 +36,8 @@ import (
 )
 
 // Default is the process-wide registry used by package-level
-// instrumentation (mux chunk metrics, fgn cache metrics, experiment stage
-// timers). CLIs expose and snapshot it; tests read deltas from it.
+// instrumentation (mux chunk metrics, fgn cache metrics, runner progress).
+// CLIs snapshot it into the run manifest; tests read deltas from it.
 var Default = NewRegistry()
 
 // Label is one key=value dimension of a metric family.
@@ -209,9 +208,8 @@ func (r *Registry) Timer(name string, labels ...Label) *Timer {
 	return r.lookup(name, KindTimer, labels, func(m *metric) { m.t = &Timer{h: NewHistogram()} }).t
 }
 
-// Snapshot is one metric's point-in-time state, as written to manifests
-// and the JSON exposition endpoint. Scalar metrics fill Value; histograms
-// and timers fill Count/Sum/Min/Max and the fixed quantile set.
+// Snapshot is one metric's point-in-time state, as written to manifests.
+// Scalar metrics fill Value; histograms and timers fill Count/Sum/Min/Max.
 type Snapshot struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
@@ -224,9 +222,6 @@ type Snapshot struct {
 	Sum       float64 `json:"sum,omitempty"`
 	Min       float64 `json:"min,omitempty"`
 	Max       float64 `json:"max,omitempty"`
-	P50       float64 `json:"p50,omitempty"`
-	P95       float64 `json:"p95,omitempty"`
-	P99       float64 `json:"p99,omitempty"`
 }
 
 // Snapshot returns the state of every registered metric, sorted by name
@@ -267,7 +262,6 @@ func (r *Registry) Snapshot() []Snapshot {
 			}
 			st := h.Stats()
 			s.Count, s.Sum, s.Min, s.Max = st.Count, st.Sum, st.Min, st.Max
-			s.P50, s.P95, s.P99 = st.P50, st.P95, st.P99
 			s.NonFinite = st.NonFinite
 		}
 		out = append(out, s)
@@ -275,8 +269,8 @@ func (r *Registry) Snapshot() []Snapshot {
 	return out
 }
 
-// labelString renders sorted labels as {k="v",...} (empty for none) — the
-// Prometheus exposition form, reused as a stable sort key.
+// labelString renders sorted labels as {k="v",...} (empty for none), the
+// stable sort key of Snapshot.
 func labelString(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
@@ -287,20 +281,8 @@ func labelString(labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", sanitize(l.Key), l.Value)
+		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// sanitize maps a metric or label name into the Prometheus-legal charset.
-func sanitize(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == ':':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
 }

@@ -2,13 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
-	"io"
 	"math"
-	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,66 +83,12 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-// exactQuantile is the nearest-rank sorted-slice quantile the histogram
-// approximates: the ceil(q·n)-th smallest element.
-func exactQuantile(sorted []float64, q float64) float64 {
-	if q <= 0 {
-		return sorted[0]
-	}
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
-// TestHistogramQuantiles checks the streaming quantile estimates against
-// exact sorted-slice quantiles within the documented RelativeError bound,
-// across distributions with very different shapes and scales.
-func TestHistogramQuantiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	dists := map[string]func() float64{
-		"uniform":   func() float64 { return rng.Float64() },
-		"exp":       func() float64 { return rng.ExpFloat64() * 1e-3 },
-		"lognormal": func() float64 { return math.Exp(rng.NormFloat64() * 2) },
-		"heavy":     func() float64 { return math.Pow(rng.Float64(), -1.5) },
-	}
-	for name, draw := range dists {
-		t.Run(name, func(t *testing.T) {
-			h := NewHistogram()
-			xs := make([]float64, 20000)
-			for i := range xs {
-				xs[i] = draw()
-				h.Observe(xs[i])
-			}
-			sort.Float64s(xs)
-			for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999} {
-				want := exactQuantile(xs, q)
-				got := h.Quantile(q)
-				relErr := math.Abs(got-want) / want
-				if relErr > RelativeError+1e-12 {
-					t.Errorf("q=%v: got %v, exact %v, rel err %.4f > bound %.4f",
-						q, got, want, relErr, RelativeError)
-				}
-			}
-			if h.Quantile(0) != xs[0] || h.Quantile(1) != xs[len(xs)-1] {
-				t.Errorf("q=0/q=1 should be exact min/max: got %v/%v want %v/%v",
-					h.Quantile(0), h.Quantile(1), xs[0], xs[len(xs)-1])
-			}
-		})
-	}
-}
-
 func TestHistogramEdgeCases(t *testing.T) {
 	h := NewHistogram()
-	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Error("empty histogram should report zeros")
+	if st := h.Stats(); h.Count() != 0 || h.Sum() != 0 || st != (HistStats{}) {
+		t.Errorf("empty histogram should report zeros, got %+v", st)
 	}
-	// Zero and negative observations land in the underflow bucket but keep
-	// exact min/max via the clamp.
+	// Zero and negative observations keep exact min/max and sum.
 	h.Observe(0)
 	h.Observe(-3)
 	h.Observe(5)
@@ -156,17 +96,11 @@ func TestHistogramEdgeCases(t *testing.T) {
 	if st.Count != 3 || st.Min != -3 || st.Max != 5 || st.Sum != 2 {
 		t.Errorf("stats = %+v, want count 3 min -3 max 5 sum 2", st)
 	}
-	if q := h.Quantile(0.01); q < -3 || q > 5 {
-		t.Errorf("quantile %v outside observed range [-3, 5]", q)
-	}
-	// A single value is every quantile.
+	// A single value is both min and max.
 	h2 := NewHistogram()
 	h2.Observe(7)
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		got := h2.Quantile(q)
-		if math.Abs(got-7)/7 > RelativeError {
-			t.Errorf("single-value q=%v = %v, want ≈7", q, got)
-		}
+	if st := h2.Stats(); st.Min != 7 || st.Max != 7 || st.Sum != 7 {
+		t.Errorf("single-value stats = %+v, want min = max = sum = 7", st)
 	}
 }
 
@@ -217,14 +151,20 @@ func TestSnapshotStableAndComplete(t *testing.T) {
 	r.Histogram("c_hist").Observe(10)
 	r.Timer("d_seconds").Observe(time.Second)
 	r.Counter("b_labeled", L("k", "v")).Inc()
+	r.Gauge("e_gauge", L("k", "2")).Set(3)
+	r.Gauge("e_gauge", L("k", "1")).Set(4)
 	snaps := r.Snapshot()
-	if len(snaps) != 5 {
-		t.Fatalf("snapshot has %d entries, want 5", len(snaps))
+	if len(snaps) != 7 {
+		t.Fatalf("snapshot has %d entries, want 7", len(snaps))
 	}
 	for i := 1; i < len(snaps); i++ {
 		if snaps[i-1].Name > snaps[i].Name {
 			t.Errorf("snapshot not sorted: %q before %q", snaps[i-1].Name, snaps[i].Name)
 		}
+	}
+	// Label variants of one family are sorted too.
+	if a, b := snaps[5].Labels["k"], snaps[6].Labels["k"]; a != "1" || b != "2" {
+		t.Errorf("e_gauge label variants in order %q, %q; want 1, 2", a, b)
 	}
 	// Snapshots must round-trip through JSON (they enter manifests).
 	b, err := json.Marshal(snaps)
@@ -239,71 +179,5 @@ func TestSnapshotStableAndComplete(t *testing.T) {
 		if back[i].Name != snaps[i].Name || back[i].Kind != snaps[i].Kind || back[i].Value != snaps[i].Value {
 			t.Errorf("snapshot %d did not round-trip: %+v vs %+v", i, snaps[i], back[i])
 		}
-	}
-}
-
-func TestHandlerEndpoints(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("frames_total", L("stage", "fig8")).Add(123)
-	r.Timer("stage_seconds").Observe(time.Millisecond)
-	srv := httptest.NewServer(Handler(r))
-	defer srv.Close()
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-
-	prom := get("/metrics")
-	if !strings.Contains(prom, `frames_total{stage="fig8"} 123`) {
-		t.Errorf("prometheus exposition missing counter sample:\n%s", prom)
-	}
-	if !strings.Contains(prom, "stage_seconds_count") {
-		t.Errorf("prometheus exposition missing summary count:\n%s", prom)
-	}
-
-	var vars struct {
-		Metrics []Snapshot     `json:"metrics"`
-		Runtime map[string]any `json:"runtime"`
-	}
-	if err := json.Unmarshal([]byte(get("/vars")), &vars); err != nil {
-		t.Fatalf("/vars is not valid JSON: %v", err)
-	}
-	if len(vars.Metrics) != 2 || vars.Runtime["goroutines"] == nil {
-		t.Errorf("/vars incomplete: %+v", vars)
-	}
-
-	if body := get("/debug/pprof/cmdline"); len(body) == 0 {
-		t.Error("/debug/pprof/cmdline returned empty body")
-	}
-}
-
-func TestServe(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Inc()
-	srv, addr, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("status %d", resp.StatusCode)
 	}
 }

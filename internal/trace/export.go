@@ -108,53 +108,3 @@ func (t *Tracer) WriteChromeFile(path string) error {
 	}
 	return nil
 }
-
-// Summary aggregates all spans of one name: how often it ran and where
-// its wall-clock time went. Seconds are wall-clock and overlap across
-// concurrent workers, so lane sums can exceed elapsed time.
-type Summary struct {
-	Name         string  `json:"name"`
-	Count        int64   `json:"count"`
-	TotalSeconds float64 `json:"total_seconds"`
-	MinSeconds   float64 `json:"min_seconds"`
-	MaxSeconds   float64 `json:"max_seconds"`
-}
-
-// Summarize aggregates completed spans by name, sorted by descending total
-// time — the "where did the run go" table persisted into run manifests.
-func (t *Tracer) Summarize() []Summary {
-	recs := t.Records()
-	byName := map[string]*Summary{}
-	for _, r := range recs {
-		s := byName[r.Name]
-		if s == nil {
-			s = &Summary{Name: r.Name, MinSeconds: r.Dur().Seconds()}
-			byName[r.Name] = s
-		}
-		d := r.Dur().Seconds()
-		s.Count++
-		s.TotalSeconds += d
-		if d < s.MinSeconds {
-			s.MinSeconds = d
-		}
-		if d > s.MaxSeconds {
-			s.MaxSeconds = d
-		}
-	}
-	out := make([]Summary, 0, len(byName))
-	for _, s := range byName {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		// Ordered comparisons instead of a != tie-break: same ordering,
-		// no exact float equality.
-		if out[i].TotalSeconds > out[j].TotalSeconds {
-			return true
-		}
-		if out[i].TotalSeconds < out[j].TotalSeconds {
-			return false
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}

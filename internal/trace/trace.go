@@ -1,8 +1,7 @@
 // Package trace is the repository's span-tracing layer: it records where
 // wall-clock time goes inside a run as a tree of spans — figure → sweep →
 // replication → mux chunk fill/drain — and exports the tree as Chrome
-// trace-event JSON (loadable in chrome://tracing and Perfetto) plus an
-// aggregated per-name summary for run manifests.
+// trace-event JSON (loadable in chrome://tracing and Perfetto).
 //
 // Design constraints, in order:
 //

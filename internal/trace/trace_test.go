@@ -187,27 +187,3 @@ func TestWriteChrome(t *testing.T) {
 		t.Error("child event lost its parent_id arg")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	tr := New()
-	for i := 0; i < 3; i++ {
-		tr.Root("fill").End()
-	}
-	tr.Root("drain").End()
-	sums := tr.Summarize()
-	if len(sums) != 2 {
-		t.Fatalf("got %d summaries, want 2", len(sums))
-	}
-	byName := map[string]Summary{}
-	for _, s := range sums {
-		byName[s.Name] = s
-	}
-	if byName["fill"].Count != 3 || byName["drain"].Count != 1 {
-		t.Errorf("summary counts wrong: %+v", sums)
-	}
-	for _, s := range sums {
-		if s.MinSeconds > s.MaxSeconds || s.TotalSeconds < s.MaxSeconds {
-			t.Errorf("inconsistent summary %+v", s)
-		}
-	}
-}

@@ -67,6 +67,7 @@ type Process struct {
 
 	mu     sync.Mutex
 	acfMem []float64 // memoised r(0), r(1), ... extended on demand
+	fixed  bool      // every lag past acfMem equals its last entry
 }
 
 // New constructs a DAR(p) process. rho must lie in [0, 1); a must be a
@@ -139,7 +140,8 @@ func (p *Process) Variance() float64 { return p.marginal.Variance }
 // r(k) = Σ_{i=1..p} ρ a_i r(|k−i|) for k ≥ 1 with r(0) = 1; the first p
 // values follow from solving that linear system, later values from the
 // recursion. All computed values are memoised, so scanning lags 1..K (as
-// the critical-time-scale search does) costs O(K) total.
+// the critical-time-scale search does) costs O(K) total, and the memo
+// stops at the recursion's floating-point fixed point (see extendLocked).
 func (p *Process) ACF(k int) float64 {
 	if k < 0 {
 		k = -k
@@ -147,11 +149,12 @@ func (p *Process) ACF(k int) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.extendLocked(k)
-	return p.acfMem[k]
+	return p.acfMem[min(k, len(p.acfMem)-1)]
 }
 
 // ACFRange implements traffic.ACFRanger: dst[i] = ACF(from+i) for
-// from ≥ 0, copied from the memo under one lock.
+// from ≥ 0, copied from the memo under one lock, with lags past a fixed
+// point filled with its value.
 func (p *Process) ACFRange(dst []float64, from int) {
 	if len(dst) == 0 {
 		return
@@ -159,21 +162,52 @@ func (p *Process) ACFRange(dst []float64, from int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.extendLocked(from + len(dst) - 1)
-	copy(dst, p.acfMem[from:])
+	n := 0
+	if from < len(p.acfMem) {
+		n = copy(dst, p.acfMem[from:])
+	}
+	tail := dst[n:]
+	if len(tail) > 0 {
+		last := p.acfMem[len(p.acfMem)-1]
+		for i := range tail {
+			tail[i] = last
+		}
+	}
 }
 
-// extendLocked grows the ACF memo through lag k. Callers must hold p.mu.
+// extendLocked grows the ACF memo through lag k. The recursion decays
+// geometrically, but in floating point it settles on a fixed point: for
+// DAR(1) with ρ > ½, ρ·x rounds back to x once x is the smallest
+// subnormals (lag 2086 at ρ = 0.7), and for ρ ≤ ½ it reaches 0. Lag k
+// is a function of the p lags before it alone, so once the last p
+// entries and the next lag are all one value, bit for bit, every later
+// lag is that value too; the memo stops growing there and ACF serves
+// the rest from its last entry. Callers must hold p.mu.
 func (p *Process) extendLocked(k int) {
 	if p.acfMem == nil {
 		p.acfMem = p.solveACFBase()
 	}
-	for lag := len(p.acfMem); lag <= k; lag++ {
+	for lag := len(p.acfMem); lag <= k && !p.fixed; lag++ {
 		var r float64
 		for i, ai := range p.a {
 			r += p.rho * ai * p.acfMem[lag-1-i]
 		}
-		p.acfMem = append(p.acfMem, r)
+		if p.fixed = p.repeats(r); !p.fixed {
+			p.acfMem = append(p.acfMem, r)
+		}
 	}
+}
+
+// repeats reports whether r and the last p memo entries are one value,
+// bit for bit.
+func (p *Process) repeats(r float64) bool {
+	bits := math.Float64bits(r)
+	for _, v := range p.acfMem[len(p.acfMem)-len(p.a):] {
+		if math.Float64bits(v) != bits {
+			return false
+		}
+	}
+	return true
 }
 
 // solveACFBase solves the order-p Yule-Walker system for r(0..p).

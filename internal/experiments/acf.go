@@ -115,7 +115,7 @@ func Fig3() ([]*Result, error) {
 		}
 		b.Series = append(b.Series, acfSeries(m, 1000))
 	}
-	l, err := models.NewL()
+	l, err := sharedL()
 	if err != nil {
 		return nil, err
 	}

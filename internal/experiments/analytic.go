@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/models"
@@ -26,40 +27,74 @@ func ctsSeries(m traffic.Model, c float64, n int, grid []float64) (Series, error
 	return s, nil
 }
 
+// sharedL builds the L model once per process, so every panel that
+// draws L shares one core.Moments memo for it.
+var sharedL = sync.OnceValues(models.NewL)
+
+// panels builds each panel on its own goroutine and returns them in
+// argument order, or the first error in that order. Each panel's values
+// depend only on its models' ACFs, so the result is the same however the
+// panels interleave.
+func panels(build ...func() (*Result, error)) ([]*Result, error) {
+	out := make([]*Result, len(build))
+	errs := make([]error, len(build))
+	var wg sync.WaitGroup
+	for i, b := range build {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = b()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// familyPanel returns a builder that adds one series per family
+// parameter to res, in order, over the practical buffer grid.
+func familyPanel(res *Result, params []float64, build func(float64) (traffic.Model, error),
+	series func(traffic.Model, float64, int, []float64) (Series, error), c float64, n int) func() (*Result, error) {
+	return func() (*Result, error) {
+		for _, p := range params {
+			m, err := build(p)
+			if err != nil {
+				return nil, err
+			}
+			s, err := series(m, c, n, BufferGridMsec)
+			if err != nil {
+				return nil, err
+			}
+			res.Series = append(res.Series, s)
+		}
+		return res, nil
+	}
+}
+
+// newV and newZ adapt the family constructors to familyPanel.
+func newV(v float64) (traffic.Model, error) { return models.NewV(v) }
+func newZ(a float64) (traffic.Model, error) { return models.NewZ(a) }
+
 // Fig4 regenerates Figure 4: the CTS m*_b versus total buffer size for (a)
 // the V^v family and (b) the Z^a family, with c = 526, μ = 500, N = 100.
+// The two panels are built concurrently.
 func Fig4() ([]*Result, error) {
 	a := &Result{
 		ID: "fig4a", Title: "Critical time scale of V^v (c=526, N=100)",
 		XLabel: "buffer msec", YLabel: "m*_b (frames)",
 	}
-	for _, v := range models.VValues {
-		m, err := models.NewV(v)
-		if err != nil {
-			return nil, err
-		}
-		s, err := ctsSeries(m, Fig4C, Fig4N, BufferGridMsec)
-		if err != nil {
-			return nil, err
-		}
-		a.Series = append(a.Series, s)
-	}
 	b := &Result{
 		ID: "fig4b", Title: "Critical time scale of Z^a (c=526, N=100)",
 		XLabel: "buffer msec", YLabel: "m*_b (frames)",
 	}
-	for _, av := range models.ZValues {
-		m, err := models.NewZ(av)
-		if err != nil {
-			return nil, err
-		}
-		s, err := ctsSeries(m, Fig4C, Fig4N, BufferGridMsec)
-		if err != nil {
-			return nil, err
-		}
-		b.Series = append(b.Series, s)
-	}
-	return []*Result{a, b}, nil
+	return panels(
+		familyPanel(a, models.VValues, newV, ctsSeries, Fig4C, Fig4N),
+		familyPanel(b, models.ZValues, newZ, ctsSeries, Fig4C, Fig4N),
+	)
 }
 
 // bopSeries evaluates the Bahadur-Rao overflow estimate across the buffer
@@ -81,39 +116,20 @@ func bopSeries(m traffic.Model, c float64, n int, grid []float64) (Series, error
 }
 
 // Fig5 regenerates Figure 5: Bahadur-Rao BOP versus buffer for (a) V^v and
-// (b) Z^a with N = 30, c = 538.
+// (b) Z^a with N = 30, c = 538. The two panels are built concurrently.
 func Fig5() ([]*Result, error) {
 	a := &Result{
 		ID: "fig5a", Title: "B-R BOP of V^v (c=538, N=30)",
 		XLabel: "buffer msec", YLabel: "P(W>B)",
 	}
-	for _, v := range models.VValues {
-		m, err := models.NewV(v)
-		if err != nil {
-			return nil, err
-		}
-		s, err := bopSeries(m, BopC, BopN, BufferGridMsec)
-		if err != nil {
-			return nil, err
-		}
-		a.Series = append(a.Series, s)
-	}
 	b := &Result{
 		ID: "fig5b", Title: "B-R BOP of Z^a (c=538, N=30)",
 		XLabel: "buffer msec", YLabel: "P(W>B)",
 	}
-	for _, av := range models.ZValues {
-		m, err := models.NewZ(av)
-		if err != nil {
-			return nil, err
-		}
-		s, err := bopSeries(m, BopC, BopN, BufferGridMsec)
-		if err != nil {
-			return nil, err
-		}
-		b.Series = append(b.Series, s)
-	}
-	return []*Result{a, b}, nil
+	return panels(
+		familyPanel(a, models.VValues, newV, bopSeries, BopC, BopN),
+		familyPanel(b, models.ZValues, newZ, bopSeries, BopC, BopN),
+	)
 }
 
 // fig6Panel builds one efficacy panel: Z^a against its DAR(p) fits, with L
@@ -145,7 +161,7 @@ func fig6Panel(id string, targetA float64, includeL bool, grid []float64) (*Resu
 		res.Series = append(res.Series, s)
 	}
 	if includeL {
-		l, err := models.NewL()
+		l, err := sharedL()
 		if err != nil {
 			return nil, err
 		}
@@ -160,33 +176,28 @@ func fig6Panel(id string, targetA float64, includeL bool, grid []float64) (*Resu
 
 // Fig6 regenerates Figure 6: the efficacy of simple Markov models over the
 // practical buffer range — (a) Z^0.975 vs DAR(1..3) vs L, (b) Z^0.7 vs
-// DAR(1..3).
+// DAR(1..3). The two panels are built concurrently.
 func Fig6() ([]*Result, error) {
-	a, err := fig6Panel("fig6a", 0.975, true, BufferGridMsec)
-	if err != nil {
-		return nil, err
-	}
-	b, err := fig6Panel("fig6b", 0.7, false, BufferGridMsec)
-	if err != nil {
-		return nil, err
-	}
-	return []*Result{a, b}, nil
+	return panels(
+		func() (*Result, error) { return fig6Panel("fig6a", 0.975, true, BufferGridMsec) },
+		func() (*Result, error) { return fig6Panel("fig6b", 0.7, false, BufferGridMsec) },
+	)
 }
 
 // Fig7 regenerates Figure 7: the same comparison over an unrealistically
 // wide buffer range, exposing where L finally overtakes the Markov fits
 // (the origin of the two myths). L appears in both panels here, as in the
-// paper.
+// paper. The two panels are built concurrently.
 func Fig7() ([]*Result, error) {
-	a, err := fig6Panel("fig7a", 0.975, true, WideBufferGridMsec)
+	out, err := panels(
+		func() (*Result, error) { return fig6Panel("fig7a", 0.975, true, WideBufferGridMsec) },
+		func() (*Result, error) { return fig6Panel("fig7b", 0.7, true, WideBufferGridMsec) },
+	)
 	if err != nil {
 		return nil, err
 	}
-	b, err := fig6Panel("fig7b", 0.7, true, WideBufferGridMsec)
-	if err != nil {
-		return nil, err
+	for _, r := range out {
+		r.Title += " [wide range]"
 	}
-	a.Title += " [wide range]"
-	b.Title += " [wide range]"
-	return []*Result{a, b}, nil
+	return out, nil
 }

@@ -84,20 +84,34 @@ func (c *Composite) ACF(k int) float64 {
 
 // ACFRange implements traffic.ACFRanger: dst[i] = ACF(from+i), bit for
 // bit, for from ≥ 0. It reads the component variances once and mixes
-// the components' own ranges.
+// the components' own ranges. Past the DAR(1) fixed point r_Y repeats
+// one subnormal value, so vy·r_Y is computed once per run of equal
+// lags rather than per lag.
 func (c *Composite) ACFRange(dst []float64, from int) {
 	vx, vy := c.X.Variance(), c.Y.Variance()
 	ry := make([]float64, len(dst))
 	c.X.ACFRange(dst, from)
 	c.Y.ACFRange(ry, from)
+	var prev uint64
+	var wy float64
 	for i, r := range ry {
-		dst[i] = mixACF(vx, vy, dst[i], r)
+		if bits := math.Float64bits(r); i == 0 || bits != prev {
+			prev, wy = bits, float64(vy*r)
+		}
+		dst[i] = mixWeighted(vx, vy, dst[i], wy)
 	}
 }
 
 // mixACF is the variance-weighted mixture (vx·rx + vy·ry)/(vx + vy).
+// The conversion rounds vy·ry on its own, as ACFRange does, so no
+// platform fuses it into the sum.
 func mixACF(vx, vy, rx, ry float64) float64 {
-	return (vx*rx + vy*ry) / (vx + vy)
+	return mixWeighted(vx, vy, rx, float64(vy*ry))
+}
+
+// mixWeighted is mixACF given the product wy = vy·ry.
+func mixWeighted(vx, vy, rx, wy float64) float64 {
+	return (vx*rx + wy) / (vx + vy)
 }
 
 // NewGenerator implements traffic.Model: the sum of independent X and Y

@@ -1,9 +1,6 @@
 package traffic
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // Moments is a cached second-order view of a Model: memoised
 // autocorrelations together with their prefix sums, from which the
@@ -30,10 +27,18 @@ type Moments struct {
 	mean   float64
 	sigma2 float64
 
-	mu sync.Mutex
-	r  []float64 // r[k]: memoised ACF, r[0] = 1
-	s1 []float64 // s1[k] = Σ_{i=1..k} r(i)
-	s2 []float64 // s2[k] = Σ_{i=1..k} i·r(i)
+	mu     sync.Mutex
+	blocks []*block // lag k lives in blocks[k/rangeChunk] at k%rangeChunk
+	n      int      // lags 0..n−1 are memoised
+}
+
+// block holds the memo for rangeChunk consecutive lags. Blocks are
+// allocated whole and never move or shrink, so entries below the memo's
+// length are written once and can be read without the lock.
+type block struct {
+	r  [rangeChunk]float64 // memoised ACF; r(0) = 1
+	s1 [rangeChunk]float64 // Σ_{i=1..k} r(i)
+	s2 [rangeChunk]float64 // Σ_{i=1..k} i·r(i)
 }
 
 // NewMoments wraps m in a fresh cached view. If m is itself a *Moments the
@@ -43,14 +48,15 @@ func NewMoments(m Model) *Moments {
 		return mo
 	}
 	ranger, _ := m.(ACFRanger)
+	first := new(block)
+	first.r[0] = 1
 	return &Moments{
 		model:  m,
 		ranger: ranger,
 		mean:   m.Mean(),
 		sigma2: m.Variance(),
-		r:      []float64{1},
-		s1:     []float64{0},
-		s2:     []float64{0},
+		blocks: []*block{first},
+		n:      1,
 	}
 }
 
@@ -71,31 +77,48 @@ func (mo *Moments) NewGenerator(seed int64) Generator {
 	return mo.model.NewGenerator(seed)
 }
 
-// rangeChunk is how many lags past a request extend fills when the model
-// has a range method: enough to amortise the call and the lock over a
-// lag-by-lag scan, few enough that the overshoot costs nothing.
+// rangeChunk is the memo's block length in lags, and how far a model
+// with a range method is filled at a time: enough to amortise the call
+// and the lock over a lag-by-lag scan, few enough that the overshoot
+// costs nothing.
 const rangeChunk = 1024
 
-// extend grows the memo through lag k, or through lag k+rangeChunk when
-// the model has a range method; a model without one is evaluated lag by
-// lag and exactly to k. Callers must hold mo.mu.
+// extend grows the memo through lag k, or through the end of the block
+// holding lag k when the model has a range method, with one range call
+// per block; a model without one is evaluated lag by lag and exactly to
+// k. The prefix sums accumulate in lag order, whichever way the ACF was
+// filled. Callers must hold mo.mu.
 func (mo *Moments) extend(k int) {
-	from := len(mo.r)
 	if mo.ranger != nil {
-		k += rangeChunk
+		k |= rangeChunk - 1
 	}
-	mo.r = slices.Grow(mo.r, k+1-from)[:k+1]
-	if mo.ranger != nil {
-		mo.ranger.ACFRange(mo.r[from:], from)
-	}
-	for lag := from; lag <= k; lag++ {
-		if mo.ranger == nil {
-			mo.r[lag] = mo.model.ACF(lag)
+	lag := mo.n
+	b := mo.blocks[len(mo.blocks)-1]
+	prev := (lag - 1) % rangeChunk
+	s1, s2 := b.s1[prev], b.s2[prev]
+	for lag <= k {
+		i := lag % rangeChunk
+		if i == 0 {
+			b = new(block)
+			mo.blocks = append(mo.blocks, b)
 		}
-		rv := mo.r[lag]
-		mo.s1 = append(mo.s1, mo.s1[lag-1]+rv)
-		mo.s2 = append(mo.s2, mo.s2[lag-1]+float64(lag)*rv)
+		end := min(rangeChunk, i+k+1-lag)
+		r := b.r[i:end]
+		if mo.ranger != nil {
+			mo.ranger.ACFRange(r, lag)
+		} else {
+			for j := range r {
+				r[j] = mo.model.ACF(lag + j)
+			}
+		}
+		for j, rv := range r {
+			s1 += rv
+			s2 += float64(lag+j) * rv
+			b.s1[i+j], b.s2[i+j] = s1, s2
+		}
+		lag += len(r)
 	}
+	mo.n = lag
 }
 
 // ACF implements Model with memoisation.
@@ -104,10 +127,10 @@ func (mo *Moments) ACF(k int) float64 {
 		k = -k
 	}
 	mo.mu.Lock()
-	if k >= len(mo.r) {
+	if k >= mo.n {
 		mo.extend(k)
 	}
-	v := mo.r[k]
+	v := mo.blocks[k/rangeChunk].r[k%rangeChunk]
 	mo.mu.Unlock()
 	return v
 }
@@ -118,10 +141,10 @@ func (mo *Moments) SumACF(k int) float64 {
 		return 0
 	}
 	mo.mu.Lock()
-	if k >= len(mo.r) {
+	if k >= mo.n {
 		mo.extend(k)
 	}
-	v := mo.s1[k]
+	v := mo.blocks[k/rangeChunk].s1[k%rangeChunk]
 	mo.mu.Unlock()
 	return v
 }
@@ -146,16 +169,18 @@ func (mo *Moments) VarSum(m int) float64 {
 // m ≤ MaxM() without taking the lock, so a scan locks only when it runs
 // past the snapshot and takes a new one.
 //
-// Snapshots stay valid while other goroutines extend the view: extend
-// only appends, so entries below a snapshot's length are never written
-// again, and when an append reallocates, the snapshot keeps the old array.
+// Snapshots stay valid while other goroutines extend the view: blocks
+// never move, and extend writes only past the memo's length, so the
+// entries a snapshot reads are never written again. The snapshot holds
+// the block list as it was; later blocks are appended to the view's list
+// only.
 func (mo *Moments) Prefix(k int) Prefix {
 	mo.mu.Lock()
-	if k >= len(mo.r) {
+	if k >= mo.n {
 		mo.extend(k)
 	}
-	n := len(mo.s1)
-	p := Prefix{sigma2: mo.sigma2, s1: mo.s1[:n:n], s2: mo.s2[:n:n]}
+	nb := len(mo.blocks)
+	p := Prefix{sigma2: mo.sigma2, blocks: mo.blocks[:nb:nb], n: mo.n}
 	mo.mu.Unlock()
 	return p
 }
@@ -164,17 +189,20 @@ func (mo *Moments) Prefix(k int) Prefix {
 // zero value holds no lags.
 type Prefix struct {
 	sigma2 float64
-	s1, s2 []float64 // as in Moments, over lags 0..len−1
+	blocks []*block // as in Moments, holding lags 0..n−1
+	n      int
 }
 
 // MaxM returns the largest m whose V(m) the snapshot holds.
-func (p Prefix) MaxM() int { return len(p.s1) }
+func (p Prefix) MaxM() int { return p.n }
 
 // VarSum returns V(m) for 1 ≤ m ≤ MaxM(), bit-identical to
 // Moments.VarSum.
 func (p Prefix) VarSum(m int) float64 {
+	k := m - 1
+	b := p.blocks[k/rangeChunk]
 	fm := float64(m)
-	return p.sigma2 * (fm + 2*(fm*p.s1[m-1]-p.s2[m-1]))
+	return p.sigma2 * (fm + 2*(fm*b.s1[k%rangeChunk]-b.s2[k%rangeChunk]))
 }
 
 // AggVariance returns Var(X̄_m) = V(m)/m², the variance of the m-frame
@@ -192,5 +220,5 @@ func (mo *Moments) AggVariance(m int) float64 {
 func (mo *Moments) CachedLags() int {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
-	return len(mo.r) - 1
+	return mo.n - 1
 }

@@ -154,38 +154,65 @@ func TestMomentsModelDelegation(t *testing.T) {
 }
 
 // TestMomentsRangeFillMatchesLagByLag fills one view through a range
-// method and another lag by lag with the same queries: the memoised
-// ACF and both prefix sums must agree bit for bit, the range fill must
-// overshoot by at most one chunk, and the lag-by-lag fill not at all.
+// method and another lag by lag with the same queries, some on either
+// side of a block boundary: the memoised ACF and both prefix sums must
+// agree bit for bit, the range fill must stop at the end of a block with
+// one range call per block, and the lag-by-lag fill must stop exactly at
+// the lag asked for. A lag-by-lag snapshot that ends mid-block must stay
+// exact while later extension fills the rest of its block.
 func TestMomentsRangeFillMatchesLagByLag(t *testing.T) {
 	rm := &rangedGeom{geomModel: geomModel{a: 0.999}}
 	ranged, lagged := NewMoments(rm), NewMoments(&geomModel{a: 0.999})
-	for _, m := range []int{1, 3000, 2, 1025, 1026, 7000} {
+	var snap Prefix
+	for _, m := range []int{1, 3000, 2, 1023, 1024, 1025, 1026, 2047, 2048, 7000} {
 		if a, b := ranged.VarSum(m), lagged.VarSum(m); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("V(%d): range fill %v, lag-by-lag %v", m, a, b)
 		}
+		if m == 3000 {
+			snap = lagged.Prefix(0)
+		}
+	}
+	if got := snap.MaxM(); got != 3000 {
+		t.Fatalf("mid-block snapshot holds V(m) through m = %d, want 3000", got)
+	}
+	want := make([]float64, snap.MaxM()+1)
+	for m := 1; m <= snap.MaxM(); m++ {
+		want[m] = snap.VarSum(m)
 	}
 	ranged.Prefix(7500)
 	lagged.Prefix(7500)
 	if got := lagged.CachedLags(); got != 7500 {
 		t.Errorf("lag-by-lag fill cached %d lags, want exactly 7500", got)
 	}
-	if got := ranged.CachedLags(); got < 7500 || got > 7500+rangeChunk {
-		t.Errorf("range fill cached %d lags, want 7500..%d", got, 7500+rangeChunk)
+	if got := ranged.CachedLags(); got != 8*rangeChunk-1 {
+		t.Errorf("range fill cached %d lags, want %d (through the end of lag 7500's block)", got, 8*rangeChunk-1)
 	}
 	if rm.ranges > 8 || rm.calls != ranged.CachedLags() {
 		t.Errorf("range fill made %d range calls over %d ACF evaluations for %d lags",
 			rm.ranges, rm.calls, ranged.CachedLags())
 	}
-	for _, tab := range []struct {
-		name string
-		a, b []float64
-	}{{"r", ranged.r, lagged.r}, {"s1", ranged.s1, lagged.s1}, {"s2", ranged.s2, lagged.s2}} {
-		for k := range tab.b {
-			if math.Float64bits(tab.a[k]) != math.Float64bits(tab.b[k]) {
-				t.Fatalf("%s[%d]: range fill %v, lag-by-lag %v", tab.name, k, tab.a[k], tab.b[k])
+	for m := 1; m <= snap.MaxM(); m++ {
+		if got := snap.VarSum(m); math.Float64bits(got) != math.Float64bits(want[m]) {
+			t.Fatalf("mid-block snapshot V(%d) changed under extension: %v → %v", m, want[m], got)
+		}
+	}
+	for k := 0; k <= 7500; k++ {
+		for _, q := range []struct {
+			name string
+			f    func(*Moments, int) float64
+		}{{"ACF", (*Moments).ACF}, {"SumACF", (*Moments).SumACF}, {"VarSum", (*Moments).VarSum}} {
+			if a, b := q.f(ranged, k), q.f(lagged, k); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s(%d): range fill %v, lag-by-lag %v", q.name, k, a, b)
 			}
 		}
+		if k <= snap.MaxM() && k > 0 {
+			if a, b := snap.VarSum(k), lagged.VarSum(k); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("V(%d): mid-block snapshot %v, view %v", k, a, b)
+			}
+		}
+	}
+	if got := lagged.CachedLags(); got != 7500 {
+		t.Errorf("lookups below the memo's length extended it to %d lags", got)
 	}
 }
 

@@ -166,12 +166,9 @@ func (p *Process) ACFRange(dst []float64, from int) {
 	if from < len(p.acfMem) {
 		n = copy(dst, p.acfMem[from:])
 	}
-	tail := dst[n:]
-	if len(tail) > 0 {
-		last := p.acfMem[len(p.acfMem)-1]
-		for i := range tail {
-			tail[i] = last
-		}
+	last := p.acfMem[len(p.acfMem)-1]
+	for i := n; i < len(dst); i++ {
+		dst[i] = last
 	}
 }
 

@@ -175,10 +175,6 @@ func TestMomentsRangeFillMatchesLagByLag(t *testing.T) {
 	if got := snap.MaxM(); got != 3000 {
 		t.Fatalf("mid-block snapshot holds V(m) through m = %d, want 3000", got)
 	}
-	want := make([]float64, snap.MaxM()+1)
-	for m := 1; m <= snap.MaxM(); m++ {
-		want[m] = snap.VarSum(m)
-	}
 	ranged.Prefix(7500)
 	lagged.Prefix(7500)
 	if got := lagged.CachedLags(); got != 7500 {
@@ -191,11 +187,6 @@ func TestMomentsRangeFillMatchesLagByLag(t *testing.T) {
 		t.Errorf("range fill made %d range calls over %d ACF evaluations for %d lags",
 			rm.ranges, rm.calls, ranged.CachedLags())
 	}
-	for m := 1; m <= snap.MaxM(); m++ {
-		if got := snap.VarSum(m); math.Float64bits(got) != math.Float64bits(want[m]) {
-			t.Fatalf("mid-block snapshot V(%d) changed under extension: %v → %v", m, want[m], got)
-		}
-	}
 	for k := 0; k <= 7500; k++ {
 		for _, q := range []struct {
 			name string
@@ -205,7 +196,7 @@ func TestMomentsRangeFillMatchesLagByLag(t *testing.T) {
 				t.Fatalf("%s(%d): range fill %v, lag-by-lag %v", q.name, k, a, b)
 			}
 		}
-		if k <= snap.MaxM() && k > 0 {
+		if k > 0 && k <= snap.MaxM() {
 			if a, b := snap.VarSum(k), lagged.VarSum(k); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("V(%d): mid-block snapshot %v, view %v", k, a, b)
 			}

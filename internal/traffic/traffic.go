@@ -38,8 +38,8 @@ type Model interface {
 // run of consecutive lags more cheaply than one ACF call per lag. The
 // contract is exact: ACFRange(dst, from) sets dst[i] to ACF(from+i), bit
 // for bit, for every i, with from ≥ 0. Moments fills its memo through it
-// in chunks past the lag a query needs, so a model whose per-lag cost is
-// high (MPEG, trace replay) should not implement it.
+// a whole block at a time, past the lag a query needs, so a model whose
+// per-lag cost is high (MPEG, trace replay) should not implement it.
 type ACFRanger interface {
 	ACFRange(dst []float64, from int)
 }

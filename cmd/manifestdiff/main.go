@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	manifestdiff [-rtol 1e-9] [-atol 0] [-series PAT=RTOL,...]
+//	manifestdiff [-rtol 1e-9] [-atol 0] [-series PAT=RTOL,...] [-ci]
 //	             [-fail-on-drift] [-v] [-quiet] GOLDEN CANDIDATE
 //
 // Two values match when |a−b| ≤ atol + rtol·max(|a|,|b|); the default
@@ -21,6 +21,13 @@
 // even when the finite ones agree. Exit status: 0 = no drift, 1 = usage
 // or I/O error, 2 = drift detected (with -fail-on-drift; without it the
 // report is printed and the exit is 0, for exploratory comparisons).
+//
+// -ci is for a deliberate re-baseline, such as a changed generator draw
+// order: for every moved estimate y it also reports whether each run's
+// estimate lies inside the other run's [lo, hi], and if not, whether the
+// two intervals still overlap. Two runs of one distribution put each
+// estimate inside the other's exact 95% interval only about 83% of the
+// time, so disjoint intervals are the finding.
 package main
 
 import (
@@ -43,6 +50,7 @@ func main() {
 		atol    = flag.Float64("atol", 0, "absolute tolerance added to the relative term")
 		series  = flag.String("series", "", "per-series overrides: comma-separated glob=rtol pairs matched against resultID/seriesLabel (e.g. 'fig8a/*=1e-6')")
 		failDr  = flag.Bool("fail-on-drift", false, "exit with status 2 when any drift is found")
+		ci      = flag.Bool("ci", false, "for each moved estimate, report whether each run's y lies inside the other run's [lo, hi], or the intervals overlap")
 		verbose = flag.Bool("v", false, "report every compared series, not just drifting ones")
 		quiet   = flag.Bool("quiet", false, "log errors only (overrides -v)")
 	)
@@ -66,8 +74,12 @@ func main() {
 		fatal(err)
 	}
 
-	d := differ{rtol: *rtol, atol: *atol, overrides: overrides}
+	d := differ{rtol: *rtol, atol: *atol, overrides: overrides, ci: *ci}
 	d.compare(golden, cand)
+	if d.ci {
+		fmt.Fprintf(os.Stderr, "manifestdiff: %d moved estimate(s): %d inside both runs' CIs, %d with overlapping CIs only, %d with disjoint CIs\n",
+			d.moved, d.moved-d.overlapOnly-d.disjoint, d.overlapOnly, d.disjoint)
+	}
 
 	if d.drifts == 0 {
 		logx.Infof("no drift: %d series compared, %d values within tolerance", d.seriesSeen, d.valuesSeen)
@@ -84,10 +96,14 @@ func main() {
 type differ struct {
 	rtol, atol float64
 	overrides  []override
+	ci         bool
 
-	seriesSeen int
-	valuesSeen int
-	drifts     int
+	seriesSeen  int
+	valuesSeen  int
+	drifts      int
+	moved       int // estimates y that drifted (with ci)
+	overlapOnly int // of those, points whose y leaves the other run's [lo, hi] while the intervals overlap
+	disjoint    int // of those, points whose intervals are disjoint
 }
 
 type override struct {
@@ -178,6 +194,9 @@ func (d *differ) compareResult(gr, cr telemetry.ResultRecord) {
 		d.compareVec(key, "lo", gs.Lo, cs.Lo, rtol)
 		d.compareVec(key, "hi", gs.Hi, cs.Hi, rtol)
 		d.compareConv(key, gs.Conv, cs.Conv)
+		if d.ci {
+			d.compareCI(key, gs, cs, rtol)
+		}
 		if d.drifts == before {
 			logx.Debugf("%s: ok (%d points, rtol %g)", key, len(gs.Y), rtol)
 		}
@@ -195,6 +214,33 @@ func (d *differ) compareVec(key, col string, g, c []float64, rtol float64) {
 			d.drift("%s.%s[%d]: %.17g (golden) != %.17g (candidate), rel err %.3g, rtol %g",
 				key, col, i, g[i], c[i], relErr(g[i], c[i]), rtol)
 		}
+	}
+}
+
+// compareCI reports, for every moved estimate, whether each run's y lies
+// inside the other run's [lo, hi], or else whether the intervals overlap:
+// the evidence that a re-baseline moved a point only by sampling noise.
+func (d *differ) compareCI(key string, g, c telemetry.SeriesRecord, rtol float64) {
+	n := len(g.Y)
+	if len(c.Y) != n || len(g.Lo) != n || len(g.Hi) != n || len(c.Lo) != n || len(c.Hi) != n {
+		return // compareVec has reported the length drift
+	}
+	for i := range g.Y {
+		if withinTol(g.Y[i], c.Y[i], rtol, d.atol) {
+			continue
+		}
+		d.moved++
+		verdict := "inside both CIs"
+		switch {
+		case g.Hi[i] < c.Lo[i] || c.Hi[i] < g.Lo[i]:
+			d.disjoint++
+			verdict = "DISJOINT CIs"
+		case !(c.Y[i] >= g.Lo[i] && c.Y[i] <= g.Hi[i] && g.Y[i] >= c.Lo[i] && g.Y[i] <= c.Hi[i]):
+			d.overlapOnly++
+			verdict = "CIs overlap"
+		}
+		fmt.Printf("CI     %s.y[%d]: %.4g [%.4g, %.4g] (golden) vs %.4g [%.4g, %.4g] (candidate): %s\n",
+			key, i, g.Y[i], g.Lo[i], g.Hi[i], c.Y[i], c.Lo[i], c.Hi[i], verdict)
 	}
 }
 

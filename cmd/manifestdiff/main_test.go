@@ -50,3 +50,33 @@ func TestCompareResultConv(t *testing.T) {
 		})
 	}
 }
+
+// TestCompareCI sorts moved estimates into inside both intervals,
+// overlapping intervals only, and disjoint intervals, and ignores points
+// that did not move.
+func TestCompareCI(t *testing.T) {
+	series := func(y, lo, hi float64) telemetry.SeriesRecord {
+		return telemetry.SeriesRecord{Label: "Z^0.7", Y: []float64{1, y}, Lo: []float64{0, lo}, Hi: []float64{2, hi}}
+	}
+	golden := series(1e-4, 5e-5, 2e-4)
+	for _, tc := range []struct {
+		name                    string
+		cand                    telemetry.SeriesRecord
+		moved, overlap, disjoin int
+	}{
+		{"unmoved", series(1e-4, 4e-5, 3e-4), 0, 0, 0},
+		{"inside both", series(1.5e-4, 9e-5, 3e-4), 1, 0, 0},
+		{"candidate outside golden CI", series(3e-4, 1.5e-4, 5e-4), 1, 1, 0},
+		{"golden outside candidate CI", series(1.5e-4, 1.2e-4, 1.8e-4), 1, 1, 0},
+		{"disjoint", series(5e-4, 3e-4, 7e-4), 1, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := differ{ci: true}
+			d.compareCI("fig8b/Z^0.7", golden, tc.cand, 0)
+			if d.moved != tc.moved || d.overlapOnly != tc.overlap || d.disjoint != tc.disjoin {
+				t.Errorf("moved %d, overlap only %d, disjoint %d; want %d, %d, %d",
+					d.moved, d.overlapOnly, d.disjoint, tc.moved, tc.overlap, tc.disjoin)
+			}
+		})
+	}
+}

@@ -47,15 +47,16 @@ type Params struct {
 	Ts     float64 // frame duration in seconds
 }
 
-// Validate checks that the parameters define a proper FBNDP.
+// Validate checks that the parameters define a proper FBNDP: the tail
+// index γ = 2−α must lie in (1, 2) as computed, and the crossover A must
+// be finite and positive. Within an ulp of α = 0 or 1, γ rounds onto 2
+// or 1, and near α = 1 the exponent 1/(α−1) drives A to 0 or +Inf.
 func (p Params) Validate() error {
-	if p.Alpha <= 0 || p.Alpha >= 1 {
+	if !(p.Alpha > 0 && p.Alpha < 1) {
 		return fmt.Errorf("fbndp: alpha %v outside (0, 1)", p.Alpha)
 	}
-	if inv := 1 / (2 - p.Alpha); inv <= 0.5 || inv >= 1 {
-		// Within 2⁻⁵³ of either end 1/γ rounds onto 1/2 or 1, where
-		// math.Pow(x, −1/γ) takes other branches than paretoTail repeats.
-		return fmt.Errorf("fbndp: alpha %v too close to 0 or 1", p.Alpha)
+	if g := 2 - p.Alpha; !(g > 1 && g < 2) {
+		return fmt.Errorf("fbndp: alpha %v gives tail index γ = %v outside (1, 2)", p.Alpha, g)
 	}
 	if p.Lambda <= 0 {
 		return fmt.Errorf("fbndp: lambda %v must be positive", p.Lambda)
@@ -68,6 +69,9 @@ func (p Params) Validate() error {
 	}
 	if p.Ts <= 0 {
 		return fmt.Errorf("fbndp: Ts %v must be positive", p.Ts)
+	}
+	if a := p.CutoffA(); !(a > 0) || math.IsInf(a, 1) {
+		return fmt.Errorf("fbndp: alpha %v gives crossover A = %v, not finite and positive", p.Alpha, a)
 	}
 	return nil
 }
@@ -183,10 +187,9 @@ func (m *Model) ACFRange(dst []float64, from int) { m.P.ACFRange(dst, from) }
 
 // durations holds the constants of the heavy-tailed ON/OFF duration
 // distribution and samples its equilibrium residual distribution. Fresh
-// durations are drawn inline in generator.frame.
+// durations come from freshDuration.
 type durations struct {
 	gamma   float64 // 2−α
-	yf      float64 // 1/γ − 1, the fractional exponent math.Pow uses for −1/γ
 	a       float64 // crossover A
 	mean    float64 // E[T]
 	intBody float64 // ∫_0^A (1−F) = A(1−e^{−γ})/γ
@@ -198,13 +201,8 @@ type durations struct {
 func newDurations(alpha, a float64) durations {
 	g := 2 - alpha
 	emg := math.Exp(-g)
-	// math.Pow(x, −1/γ) splits |−1/γ| with Modf and, because the fraction
-	// exceeds 1/2 for every γ ∈ (1, 2), raises x to the fraction minus
-	// one and multiplies by x once; paretoTail repeats that arithmetic.
-	_, yf := math.Modf(1 / g)
 	return durations{
 		gamma:   g,
-		yf:      yf - 1,
 		a:       a,
 		mean:    a * ((1-(1+g)*emg)/g + g*emg/(g-1)),
 		intBody: a * (1 - emg) / g,
@@ -214,17 +212,29 @@ func newDurations(alpha, a float64) durations {
 	}
 }
 
-// paretoTail returns the tail draw A·x^{−1/γ} for x = 1−u ∈ (0, 1], given
-// yf = 1/γ − 1, bit for bit equal to a*math.Pow(x, -1/γ). For this
-// exponent Pow computes Ldexp(1/(Exp(yf·Log(x))·x₁), −e) with x = x₁·2^e;
-// scaling by 2^e is exact for every x ≥ 2⁻⁵³, so the Frexp/Ldexp pair can
-// go. The reciprocal must be taken before multiplying by A: A/(…) rounds
-// once where A·(1/(…)) rounds twice, and differs from Pow in about a
-// quarter of draws.
-func paretoTail(a, yf, u float64) float64 {
-	x := 1 - u
-	return a * (1 / (math.Exp(yf*math.Log(x)) * x))
+// freshDuration maps a standard exponential draw e to a fresh ON/OFF
+// duration with crossover a and tail index gamma. The density is an
+// exponential with rate γ/A on [0, A] and a Pareto(γ) tail beyond,
+// continuous at A with tail mass e^{−γ}; both pieces come from the one
+// draw. T = e·A/γ is the untruncated exponential, which exceeds A exactly
+// when e > γ, with probability e^{−γ}. Given e > γ, e − γ is again a
+// standard exponential (memorylessness), so T = A·exp((e−γ)/γ) has the
+// tail's conditional law P(T > t | T > A) = (A/t)^γ. T is infinite only
+// when e is: rand.ExpFloat64 returns +Inf only when the Float64 draw of
+// its ziggurat tail is exactly 0, i.e. its Int63 draw is 0.
+func freshDuration(e, a, gamma float64) float64 {
+	if e > gamma {
+		return a * tailFactor(e, gamma)
+	}
+	return e * a / gamma
 }
+
+// tailFactor returns T/A = exp((e−γ)/γ) for a tail draw. It stays out of
+// line: inlined, math.Exp alone would push freshDuration past the
+// inliner's budget, and the common body case would then pay a call.
+//
+//go:noinline
+func tailFactor(e, gamma float64) float64 { return math.Exp((e - gamma) / gamma) }
 
 // sampleResidual draws from the equilibrium residual-life distribution with
 // density (1−F(t))/E[T], used to start each phase in steady state. Without
@@ -306,17 +316,11 @@ func (g *generator) Fill(dst []float64) {
 }
 
 // frame advances the sample path one frame. Each toggle draws a fresh
-// duration: the density is an exponential with rate γ/A on [0, A] and a
-// Pareto(γ) tail beyond, continuous at A with tail mass e^{−γ}. Sampling
-// composes exactly: draw from the untruncated exponential (which exceeds
-// A with probability exactly e^{−γ}, the tail mass); on exceedance,
-// redraw from the tail's conditional law P(T > t | T > A) = (A/t)^γ,
-// i.e. t = A·U^{−1/γ} with U = 1−Float64() ∈ (0, 1] (no infinite
-// duration). The common body case costs one ziggurat exponential, keeping
-// the V^v simulations (whose phase changes outnumber frames 100:1)
-// affordable; the loop runs on locals for the same reason.
+// duration from one ziggurat exponential (freshDuration). The V^v
+// simulations' phase changes outnumber frames 100:1, so the loop runs on
+// locals.
 func (g *generator) frame() float64 {
-	a, gamma, yf, ts, rng := g.dur.a, g.dur.gamma, g.dur.yf, g.p.Ts, g.rng
+	a, gamma, ts, rng := g.dur.a, g.dur.gamma, g.p.Ts, g.rng
 	var onTime float64
 	for i := range g.phases {
 		on, remaining := g.phases[i].on, g.phases[i].remaining
@@ -327,10 +331,7 @@ func (g *generator) frame() float64 {
 			}
 			left -= remaining
 			on = !on
-			remaining = rng.ExpFloat64() * a / gamma
-			if remaining > a {
-				remaining = paretoTail(a, yf, rng.Float64())
-			}
+			remaining = freshDuration(rng.ExpFloat64(), a, gamma)
 		}
 		if on {
 			onTime += left

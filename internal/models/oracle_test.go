@@ -41,8 +41,8 @@ var oracleMs = []int{1, 10, 100, 1000}
 // oracleBand pins a cell whose V̂(m) is known to miss the model's V(m):
 // the 99% CI of V̂/V measured at 800 × 1000 frames before the FBNDP tail
 // draw was rewritten, rounded outward. A run passes the cell when its own
-// 99% CI of V̂/V overlaps the band, so a move of the generator either
-// toward V(m) or away from it fails.
+// 99% CI of V̂/V overlaps the band, so a move of the generator by more
+// than the two intervals allow fails, toward V(m) or away from it.
 type oracleBand struct{ lo, hi float64 }
 
 // fbndpSmallM is known deviation #4 (EXPERIMENTS.md): FBNDP's Variance()
@@ -105,7 +105,7 @@ func oracleFamilies(t *testing.T) []oracleFamily {
 	)
 	if testing.Short() || raceEnabled {
 		// The -short form, also every race build: an eighth of the
-		// replications, without V^1.5.
+		// replications, without V^1.5 (fams[0]).
 		fams = fams[1:]
 		for i := range fams {
 			fams[i].reps /= 8

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	manifestdiff [-rtol 1e-9] [-atol 0] [-series PAT=RTOL,...] [-ci]
+//	manifestdiff [-rtol 1e-9] [-atol 0] [-series PAT=RTOL,...]
 //	             [-fail-on-drift] [-v] [-quiet] GOLDEN CANDIDATE
 //
 // Two values match when |a−b| ≤ atol + rtol·max(|a|,|b|); the default
@@ -22,12 +22,12 @@
 // or I/O error, 2 = drift detected (with -fail-on-drift; without it the
 // report is printed and the exit is 0, for exploratory comparisons).
 //
-// -ci is for a deliberate re-baseline, such as a changed generator draw
-// order: for every moved estimate y it also reports whether each run's
+// For every moved estimate y the report also says whether each run's
 // estimate lies inside the other run's [lo, hi], and if not, whether the
-// two intervals still overlap. Two runs of one distribution put each
-// estimate inside the other's exact 95% interval only about 83% of the
-// time, so disjoint intervals are the finding.
+// two intervals still overlap: the evidence a deliberate re-baseline,
+// such as a changed generator draw order, needs. Two runs of one
+// distribution put each estimate inside the other's exact 95% interval
+// only about 83% of the time, so disjoint intervals are the finding.
 package main
 
 import (
@@ -50,7 +50,6 @@ func main() {
 		atol    = flag.Float64("atol", 0, "absolute tolerance added to the relative term")
 		series  = flag.String("series", "", "per-series overrides: comma-separated glob=rtol pairs matched against resultID/seriesLabel (e.g. 'fig8a/*=1e-6')")
 		failDr  = flag.Bool("fail-on-drift", false, "exit with status 2 when any drift is found")
-		ci      = flag.Bool("ci", false, "for each moved estimate, report whether each run's y lies inside the other run's [lo, hi], or the intervals overlap")
 		verbose = flag.Bool("v", false, "report every compared series, not just drifting ones")
 		quiet   = flag.Bool("quiet", false, "log errors only (overrides -v)")
 	)
@@ -74,10 +73,10 @@ func main() {
 		fatal(err)
 	}
 
-	d := differ{rtol: *rtol, atol: *atol, overrides: overrides, ci: *ci}
+	d := differ{rtol: *rtol, atol: *atol, overrides: overrides}
 	d.compare(golden, cand)
-	if d.ci {
-		fmt.Fprintf(os.Stderr, "manifestdiff: %d moved estimate(s): %d inside both runs' CIs, %d with overlapping CIs only, %d with disjoint CIs\n",
+	if d.moved > 0 {
+		logx.Infof("%d moved estimate(s): %d inside both runs' CIs, %d with overlapping CIs only, %d with disjoint CIs",
 			d.moved, d.moved-d.overlapOnly-d.disjoint, d.overlapOnly, d.disjoint)
 	}
 
@@ -96,12 +95,11 @@ func main() {
 type differ struct {
 	rtol, atol float64
 	overrides  []override
-	ci         bool
 
 	seriesSeen  int
 	valuesSeen  int
 	drifts      int
-	moved       int // estimates y that drifted (with ci)
+	moved       int // estimates y that drifted
 	overlapOnly int // of those, points whose y leaves the other run's [lo, hi] while the intervals overlap
 	disjoint    int // of those, points whose intervals are disjoint
 }
@@ -194,9 +192,7 @@ func (d *differ) compareResult(gr, cr telemetry.ResultRecord) {
 		d.compareVec(key, "lo", gs.Lo, cs.Lo, rtol)
 		d.compareVec(key, "hi", gs.Hi, cs.Hi, rtol)
 		d.compareConv(key, gs.Conv, cs.Conv)
-		if d.ci {
-			d.compareCI(key, gs, cs, rtol)
-		}
+		d.compareCI(key, gs, cs, rtol)
 		if d.drifts == before {
 			logx.Debugf("%s: ok (%d points, rtol %g)", key, len(gs.Y), rtol)
 		}

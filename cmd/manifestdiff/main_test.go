@@ -71,7 +71,7 @@ func TestCompareCI(t *testing.T) {
 		{"disjoint", series(5e-4, 3e-4, 7e-4), 1, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := differ{ci: true}
+			var d differ
 			d.compareCI("fig8b/Z^0.7", golden, tc.cand, 0)
 			if d.moved != tc.moved || d.overlapOnly != tc.overlap || d.disjoint != tc.disjoin {
 				t.Errorf("moved %d, overlap only %d, disjoint %d; want %d, %d, %d",

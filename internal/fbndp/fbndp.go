@@ -224,17 +224,10 @@ func newDurations(alpha, a float64) durations {
 // its ziggurat tail is exactly 0, i.e. its Int63 draw is 0.
 func freshDuration(e, a, gamma float64) float64 {
 	if e > gamma {
-		return a * tailFactor(e, gamma)
+		return a * math.Exp((e-gamma)/gamma)
 	}
 	return e * a / gamma
 }
-
-// tailFactor returns T/A = exp((e−γ)/γ) for a tail draw. It stays out of
-// line: inlined, math.Exp alone would push freshDuration past the
-// inliner's budget, and the common body case would then pay a call.
-//
-//go:noinline
-func tailFactor(e, gamma float64) float64 { return math.Exp((e - gamma) / gamma) }
 
 // sampleResidual draws from the equilibrium residual-life distribution with
 // density (1−F(t))/E[T], used to start each phase in steady state. Without

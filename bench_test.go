@@ -343,30 +343,11 @@ func BenchmarkMuxRunBlock(b *testing.B) {
 	benchMuxRun(b, replayWorkload(b))
 }
 
-// BenchmarkEngineStepOpenLoop forces the same open-loop workload through
-// the per-frame stepped engine (Config.ForceStep). Results are
-// bit-identical to BenchmarkMuxRunBlock; the gap prices the per-frame
-// bookkeeping the feedback tap costs when nothing is closed-loop.
-func BenchmarkEngineStepOpenLoop(b *testing.B) {
-	m := replayWorkload(b)
-	cfg := mux.Config{Model: m, N: 100, C: 526, B: 100, Frames: 20000, ForceStep: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := mux.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(cfg.N)*float64(cfg.Frames)*float64(b.N)/b.Elapsed().Seconds(),
-		"frames/sec")
-}
-
-// BenchmarkEngineStepClosedLoop wraps the replay workload in the AIMD
+// BenchmarkMuxRunClosedLoop wraps the replay workload in the AIMD
 // controller, so every frame draws per-source scalars, runs the shared
 // Lindley kernel, and delivers feedback to all 100 sources — the full
-// closed-loop price.
-func BenchmarkEngineStepClosedLoop(b *testing.B) {
+// closed-loop price against BenchmarkMuxRunBlock.
+func BenchmarkMuxRunClosedLoop(b *testing.B) {
 	m, err := models.NewAIMD(replayWorkload(b), models.AIMDConfig{})
 	if err != nil {
 		b.Fatal(err)

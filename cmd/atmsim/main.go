@@ -10,7 +10,7 @@
 //
 // With -adaptive (or an aimd:<spec> model spec) sources are closed-loop:
 // an AIMD controller scales each source's frame sizes against the queue
-// state fed back by the stepped multiplexer engine. Closed-loop CLR runs
+// state the multiplexer feeds back after every frame. Closed-loop CLR runs
 // execute one replication batch per buffer size instead of the coupled
 // single-pass sweep, since feedback couples arrivals to the buffer.
 //

@@ -1,5 +1,5 @@
 // Golden Lindley-kernel regression: the stepped-engine refactor routed
-// every simulation path (Run, RunBOP, RunMix, the sweeps) through one
+// every simulation path (Run, RunBOP, the sweeps) through one
 // shared lindleyStep kernel, and this test pins the kernel's sample paths
 // to a manifest captured BEFORE that refactor. It regenerates the
 // small-scale fig8/9/10 series in-process and compares every value at

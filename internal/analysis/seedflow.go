@@ -34,7 +34,8 @@ const randxPkgSuffix = "internal/randx"
 //   - values reached FROM such roots through assignments, arithmetic,
 //     conversions, indexing, ranging, field access, method calls on
 //     seed-derived receivers (rng.Int63()), and same- or cross-package
-//     helpers whose bodies the analyzer can see (mux.ChildSeeds).
+//     helpers whose bodies the analyzer can see (the source-seeding helpers
+//     of package mux).
 //
 // Anything else — above all an integer constant, the classic "quick
 // test" seed — is an untracked entropy source: it silently decouples a

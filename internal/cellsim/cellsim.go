@@ -15,7 +15,7 @@ package cellsim
 import (
 	"fmt"
 
-	"repro/internal/mux"
+	"repro/internal/seed"
 	"repro/internal/traffic"
 )
 
@@ -95,7 +95,7 @@ func Run(cfg Config) (Result, error) {
 	srcs := make([]source, cfg.N)
 	// Child seeds per source, derived as in package mux so cross-package
 	// comparisons can share arrival statistics.
-	seeds := mux.ChildSeeds(cfg.Seed, cfg.N)
+	seeds := seed.Children(cfg.Seed, cfg.N)
 	for i := range srcs {
 		srcs[i].gen = cfg.Model.NewGenerator(seeds[i])
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/mux"
+	"repro/internal/seed"
 )
 
 // FrameLossResult extends the cell-level accounting with video-frame-level
@@ -34,7 +34,7 @@ func RunFrameLoss(cfg Config) (FrameLossResult, error) {
 		return FrameLossResult{}, fmt.Errorf("cellsim: frame-loss tracking supports at most 255 sources, got %d", cfg.N)
 	}
 	srcs := make([]source, cfg.N)
-	seeds := mux.ChildSeeds(cfg.Seed, cfg.N)
+	seeds := seed.Children(cfg.Seed, cfg.N)
 	for i := range srcs {
 		srcs[i].gen = cfg.Model.NewGenerator(seeds[i])
 	}

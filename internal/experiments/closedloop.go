@@ -110,7 +110,7 @@ func closedLoopBases() ([]traffic.Model, error) {
 // CLR vs buffer for the paper's V/Z/S/L source families, each run twice —
 // open-loop exactly as published, and wrapped in the AIMD rate controller
 // (models.NewAIMD with defaults) so frame sizes adapt to the queue state
-// through the stepped engine's feedback tap.
+// through the multiplexer's per-frame feedback.
 //
 // This answers the ROADMAP question the paper cannot ask: does "short-term
 // correlations dominate CLR" survive when sources react to the
@@ -119,7 +119,7 @@ func closedLoopBases() ([]traffic.Model, error) {
 // LRD models Z and L once all of them adapt.
 //
 // Open-loop twins run through the coupled sweep (one arrival path, all
-// buffers); adaptive series run per-buffer through the stepped engine.
+// buffers); adaptive series run per-buffer, fed back every frame.
 // Both fan replications over cfg's engine and are bit-identical for any
 // worker count.
 func ExtClosedLoop(cfg SimConfig) (*Result, error) {

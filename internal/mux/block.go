@@ -27,10 +27,9 @@ var (
 	metDrainTime    = telemetry.Default.Timer("mux_chunk_drain_seconds")
 	metPoolGets     = telemetry.Default.Counter("mux_chunk_pool_gets_total")
 	metPoolMisses   = telemetry.Default.Counter("mux_chunk_pool_misses_total")
-	// Path split: which simulation engine served each run — the chunked
-	// open-loop block path or the per-frame stepped engine (closed-loop
-	// feedback). figbench's ledger reads them as mux.runs_chunked and
-	// mux.runs_stepped.
+	// Path split: runs without a closed-loop source (chunked) and runs
+	// with one, fed back per frame (stepped). figbench's ledger reads them
+	// as mux.runs_chunked and mux.runs_stepped.
 	metPathChunked = telemetry.Default.Counter("mux_path_runs_total", telemetry.L("path", "chunked"))
 	metPathStepped = telemetry.Default.Counter("mux_path_runs_total", telemetry.L("path", "stepped"))
 )

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/models"
 	"repro/internal/traffic"
 )
@@ -135,12 +134,6 @@ func TestNilGeneratorIsError(t *testing.T) {
 	}
 	if _, err := RunBOP(BOPConfig{Model: m, N: 2, C: 2, Frames: 10, Thresholds: []float64{0}}); err == nil {
 		t.Fatal("RunBOP: want nil-generator error")
-	}
-	if _, err := RunMix(MixConfig{
-		Mix:    core.Mix{{Model: m, Count: 2}},
-		TotalC: 2, Frames: 10,
-	}); err == nil || !strings.Contains(err.Error(), "nil generator") {
-		t.Fatalf("RunMix: want nil-generator error, got %v", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/models"
 	"repro/internal/runner"
 	"repro/internal/stats"
@@ -54,89 +53,9 @@ func aimdModel(t testing.TB, a float64) traffic.Model {
 	return m
 }
 
-func TestForceStepMatchesChunkedRun(t *testing.T) {
-	// The stepped engine must reproduce the chunked fast path exactly:
-	// the block contract makes open-loop sample paths invariant under
-	// Fill partitioning, and both paths share lindleyStep. Frames spans
-	// several chunk boundaries (chunkFrames = 4096).
-	z, err := models.NewZ(0.975)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Model: z, N: 10, C: 520, B: 30, Frames: 9000, Warmup: 500, Seed: 42}
-	chunked, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ForceStep = true
-	stepped, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunked != stepped {
-		t.Fatalf("stepped engine drifted from chunked path:\nchunked %+v\nstepped %+v",
-			chunked, stepped)
-	}
-}
-
-func TestForceStepMatchesChunkedBOP(t *testing.T) {
-	z, err := models.NewZ(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := BOPConfig{Model: z, N: 5, C: 510, Frames: 9000, Warmup: 300,
-		Seed: 7, Thresholds: []float64{0, 50, 200, 1000}}
-	chunked, err := RunBOP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ForceStep = true
-	stepped, err := RunBOP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunked.Prob) != len(stepped.Prob) {
-		t.Fatalf("threshold count mismatch: %d vs %d", len(chunked.Prob), len(stepped.Prob))
-	}
-	for i := range chunked.Prob {
-		if chunked.Prob[i] != stepped.Prob[i] {
-			t.Fatalf("threshold %g: chunked %v != stepped %v",
-				chunked.Thresholds[i], chunked.Prob[i], stepped.Prob[i])
-		}
-	}
-	if chunked.MaxW != stepped.MaxW {
-		t.Fatalf("max workload: chunked %v != stepped %v", chunked.MaxW, stepped.MaxW)
-	}
-}
-
-func TestForceStepMatchesChunkedSampleWorkload(t *testing.T) {
-	z, err := models.NewZ(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := BOPConfig{Model: z, N: 5, C: 510, Frames: 9000, Seed: 11}
-	chunked, err := SampleWorkload(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ForceStep = true
-	stepped, err := SampleWorkload(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunked) != len(stepped) {
-		t.Fatalf("sample count mismatch: %d vs %d", len(chunked), len(stepped))
-	}
-	for i := range chunked {
-		if chunked[i] != stepped[i] {
-			t.Fatalf("sample %d: chunked %v != stepped %v", i, chunked[i], stepped[i])
-		}
-	}
-}
-
 func TestClosedLoopRunDeterministic(t *testing.T) {
 	// Closed-loop sources are deterministic functions of (seed, feedback
-	// sequence) and the engine's feedback sequence is itself
+	// sequence) and the drain's feedback sequence is itself
 	// deterministic, so repeated same-seed runs must be bit-identical.
 	cfg := Config{Model: aimdModel(t, 0.975), N: 8, C: 510, B: 25,
 		Frames: 6000, Warmup: 300, Seed: 1996}
@@ -159,8 +78,8 @@ func TestClosedLoopRunDeterministic(t *testing.T) {
 }
 
 func TestClosedLoopConservation(t *testing.T) {
-	// arrived = lost + served + ΔW must hold exactly in the stepped
-	// engine as it does in the chunked path; served ≤ C per frame bounds
+	// arrived = lost + served + ΔW must hold exactly with feedback as it
+	// does for open-loop sources; served ≤ C per frame bounds
 	// the serve volume.
 	cfg := Config{Model: aimdModel(t, 0.9), N: 5, C: 505, B: 20,
 		Frames: 4000, Seed: 3}
@@ -179,7 +98,7 @@ func TestClosedLoopConservation(t *testing.T) {
 
 func TestClosedLoopReplicationsEngineWorkers(t *testing.T) {
 	// Replication fan-out must be bit-identical for every worker count:
-	// each replication derives its own seed and the stepped engine is
+	// each replication derives its own seed and its drain is
 	// single-threaded within a replication.
 	cfg := Config{Model: aimdModel(t, 0.975), N: 6, C: 505, B: 15,
 		Frames: 3000, Warmup: 200, Seed: 1996}
@@ -215,51 +134,6 @@ func TestRunSweepRejectsClosedLoop(t *testing.T) {
 	}
 }
 
-func TestRunMixClosedLoop(t *testing.T) {
-	// A mix of open- and closed-loop sources drives the stepped path;
-	// repeated runs must agree exactly, and a pure-open-loop mix must be
-	// unaffected by ForceStep.
-	z, err := models.NewZ(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix := MixConfig{
-		Mix: core.Mix{
-			{Model: z, Count: 4},
-			{Model: aimdModel(t, 0.9), Count: 4},
-		},
-		TotalC: 4080, TotalB: 160, Frames: 4000, Warmup: 200, Seed: 5,
-	}
-	first, err := RunMix(mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := RunMix(mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != again {
-		t.Fatalf("closed-loop mix drifted:\nfirst %+v\nagain %+v", first, again)
-	}
-
-	open := MixConfig{
-		Mix:    core.Mix{{Model: z, Count: 4}, {Model: z, Count: 4}},
-		TotalC: 4080, TotalB: 160, Frames: 4000, Warmup: 200, Seed: 5,
-	}
-	chunked, err := RunMix(open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open.ForceStep = true
-	stepped, err := RunMix(open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunked != stepped {
-		t.Fatalf("open-loop mix: stepped %+v != chunked %+v", stepped, chunked)
-	}
-}
-
 func TestCLREstimateEmpty(t *testing.T) {
 	got := CLREstimate(nil, 0.95)
 	want := stats.CI{Level: 0.95}
@@ -270,15 +144,5 @@ func TestCLREstimateEmpty(t *testing.T) {
 	want = stats.CI{Level: 0.9}
 	if got != want {
 		t.Fatalf("CLREstimate(empty) = %+v, want %+v", got, want)
-	}
-}
-
-func TestSampleWorkloadEveryValidation(t *testing.T) {
-	m := iidGaussian(t, 500, 5000)
-	cfg := BOPConfig{Model: m, N: 5, C: 510, Frames: 100, Seed: 1}
-	for _, every := range []int{0, -1, -100} {
-		if _, err := SampleWorkload(cfg, every); err == nil {
-			t.Fatalf("every=%d should error", every)
-		}
 	}
 }

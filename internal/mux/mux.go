@@ -16,15 +16,17 @@
 // measures the buffer overflow probability P(W > x) that the paper's
 // large-deviations asymptotics estimate.
 //
-// Both runs are built on one stepped simulation core (Engine) around a
-// single shared Lindley kernel (lindleyStep). Open-loop sources are
-// drained in 4096-frame chunks exactly as the historical block pipeline
-// did; when any source is closed-loop (traffic.FeedbackGenerator) the run
-// advances frame-by-frame so the post-frame queue state can feed back
-// into generation.
+// Every measurement drains through one loop per measurement kind around a
+// single shared Lindley kernel (lindleyStep): drainCLR for finite-buffer
+// CLR (Run is the one-buffer case of RunSweep) and drainBOP for
+// infinite-buffer overflow. Open-loop sources are pulled in 4096-frame
+// chunks; only when a source is closed-loop (traffic.FeedbackGenerator)
+// does the drain add its per-frame draws and deliver the post-frame queue
+// state back to it.
 package mux
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -32,19 +34,8 @@ import (
 	"repro/internal/runner"
 	"repro/internal/seed"
 	"repro/internal/stats"
-	"repro/internal/telemetry/prof"
 	"repro/internal/trace"
 	"repro/internal/traffic"
-
-	"context"
-)
-
-// Profiling labels for the two execution paths, mirroring the
-// mux_runs_total{path=...} counters: CPU samples inside the chunked
-// drain loops carry path=chunked, the per-frame engine path=stepped.
-var (
-	profChunked = prof.Labels{Path: "chunked"}
-	profStepped = prof.Labels{Path: "stepped"}
 )
 
 // Config describes one finite-buffer simulation replication.
@@ -60,12 +51,6 @@ type Config struct {
 	// spans. Purely observational (never part of seeds or fingerprints);
 	// the zero Span disables chunk tracing at the cost of one branch.
 	Span trace.Span
-	// ForceStep drives the run through the per-frame stepped engine even
-	// when every source is open-loop. Results are bit-identical to the
-	// chunked fast path (the block contract makes sample paths invariant
-	// under Fill partitioning); only the per-frame overhead differs. Used
-	// by the equivalence tests and the engine benchmarks.
-	ForceStep bool
 	// Ctx, when non-nil, carries pprof profiling labels (figure, model,
 	// sweep point, lane — see internal/telemetry/prof) that Run merges
 	// with its own path label, so CPU samples taken inside the simulation
@@ -117,106 +102,23 @@ type Result struct {
 
 // Run executes one finite-buffer replication. Source i uses a child seed
 // derived from cfg.Seed, so replications are reproducible and sources
-// mutually independent.
-//
-// With only open-loop sources, arrivals are pulled in chunkFrames-sized
-// blocks and the Lindley kernel runs over the contiguous aggregate slice;
-// the sample path is bit-identical to the per-frame scalar protocol. With
-// any closed-loop source the run steps frame-by-frame through the engine
-// so queue state feeds back into generation.
+// mutually independent. Closed-loop sources see the queue state after
+// every frame, warm-up included.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	eng, err := newRunEngine(cfg)
+	src, err := newSources(cfg.Model, cfg.N, cfg.Seed, cfg.Span)
 	if err != nil {
 		return Result{}, err
 	}
-	defer eng.release()
-	if eng.closedLoop() || cfg.ForceStep {
-		var res Result
-		prof.Do(cfg.Ctx, profStepped, func(context.Context) {
-			res = runStepped(eng, cfg.Frames, cfg.Warmup, cfg.Span)
-		})
-		return res, nil
-	}
-
+	defer src.release()
 	var res Result
-	prof.Do(cfg.Ctx, profChunked, func(context.Context) {
-		totalC := float64(cfg.N) * cfg.C
-		totalB := float64(cfg.N) * cfg.B
-		var w float64
-		for rem := cfg.Warmup; rem > 0; {
-			n := min(rem, chunkFrames)
-			for _, a := range eng.nextChunk(n) {
-				_, w = lindleyStep(w, a, totalC, totalB)
-			}
-			rem -= n
-		}
-		res = Result{Frames: cfg.Frames, InitialW: w}
-		var sumW float64
-		for rem := cfg.Frames; rem > 0; {
-			n := min(rem, chunkFrames)
-			chunk := eng.nextChunk(n)
-			spDrain := cfg.Span.Child("mux drain", trace.Int("frames", n))
-			stopDrain := metDrainTime.Start()
-			for _, a := range chunk {
-				res.ArrivedCells += a
-				loss, next := lindleyStep(w, a, totalC, totalB)
-				if loss > 0 {
-					res.LostCells += loss
-					res.LossFrames++
-				}
-				w = next
-				sumW += w
-				if w > res.MaxWorkload {
-					res.MaxWorkload = w
-				}
-			}
-			stopDrain()
-			spDrain.End()
-			metOccupancy.Observe(w)
-			rem -= n
-		}
-		res.FinalW = w
-		res.MeanWorkload = sumW / float64(cfg.Frames)
-		if res.ArrivedCells > 0 {
-			res.CLR = res.LostCells / res.ArrivedCells
-		}
+	src.measure(cfg.Ctx, func(context.Context) {
+		res = drainCLR(src, float64(cfg.N)*cfg.C, []float64{float64(cfg.N) * cfg.B},
+			cfg.Warmup, cfg.Frames, cfg.Span)[0]
 	})
-	metRuns.Inc()
-	metPathChunked.Inc()
-	metCellsArrived.Add(res.ArrivedCells)
-	metCellsLost.Add(res.LostCells)
 	return res, nil
-}
-
-// ChildSeeds derives n per-source seeds from a master seed via the
-// splitmix64 hash of (master, source index). The derivation is shared with
-// package cellsim so fluid and cell-level simulations of the same
-// configuration see statistically identical arrival processes, and it is
-// index-addressed rather than stream-drawn so any subset of sources can be
-// re-derived independently.
-func ChildSeeds(masterSeed int64, n int) []int64 {
-	return seed.Children(masterSeed, n)
-}
-
-// sourceGenerators builds N independent generators with seeds derived from
-// a master seed. A model returning a nil generator (e.g. an unfitted or
-// partially-constructed wrapper) is reported as an error rather than left
-// to panic frames later inside the simulation loop.
-func sourceGenerators(m traffic.Model, n int, sd int64) ([]traffic.Generator, error) {
-	seeds := ChildSeeds(sd, n)
-	gens := make([]traffic.Generator, n)
-	for i := range gens {
-		g := m.NewGenerator(seeds[i])
-		if g == nil {
-			return nil, fmt.Errorf("mux: model %q returned nil generator for source %d (seed %d)",
-				m.Name(), i, seeds[i])
-		}
-		gens[i] = g
-	}
-	return gens, nil
 }
 
 // RunReplications executes reps independent replications (the paper runs
@@ -248,7 +150,7 @@ func RunReplications(cfg Config, reps int) ([]Result, error) {
 // the splitmix64-derived seed of (cfg.Seed, job, i), so the output is
 // bit-identical for every worker count — including for closed-loop
 // configurations, whose feedback dynamics are confined to each
-// replication's own serial step loop.
+// replication's own serial drain.
 //
 // This is the replication fan-out for configurations that cannot share a
 // coupled buffer sweep (closed-loop sources, where the queue state feeds
@@ -306,9 +208,6 @@ type BOPConfig struct {
 	Seed       int64
 	Thresholds []float64 // workload levels x (total cells) for P(W > x)
 	Span       trace.Span
-	// ForceStep forces the per-frame stepped engine for open-loop sources;
-	// see Config.ForceStep.
-	ForceStep bool
 	// Ctx carries pprof profiling labels; see Config.Ctx.
 	Ctx context.Context
 }
@@ -340,161 +239,24 @@ type BOPResult struct {
 	MaxW       float64
 }
 
-// countThresholds bumps counts[k] for every sorted threshold thr[k]
-// exceeded by workload w — shared by the chunked and stepped BOP loops.
-func countThresholds(w float64, thr []float64, counts []int) {
-	for j := len(thr) - 1; j >= 0; j-- {
-		if w > thr[j] {
-			for k := 0; k <= j; k++ {
-				counts[k]++
-			}
-			break
-		}
-	}
-}
-
 // RunBOP simulates the infinite-buffer workload recursion and estimates
-// P(W > x) at each threshold as the fraction of frame boundaries whose
-// workload exceeds x. Closed-loop sources drop the run to the per-frame
-// stepped engine (feedback carries Buffer = +Inf and zero loss — the
-// congestion signal is utilization alone).
+// P(W > x) at each threshold as the fraction of measured frame boundaries
+// whose workload exceeds x. The result lists the thresholds in ascending
+// order.
 func RunBOP(cfg BOPConfig) (BOPResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return BOPResult{}, err
 	}
 	thr := append([]float64(nil), cfg.Thresholds...)
 	sort.Float64s(thr)
-	eng, err := newBOPEngine(cfg, cfg.Span)
+	src, err := newSources(cfg.Model, cfg.N, cfg.Seed, cfg.Span)
 	if err != nil {
 		return BOPResult{}, err
 	}
-	defer eng.release()
-	counts := make([]int, len(thr))
-	res := BOPResult{Thresholds: thr}
-
-	if eng.closedLoop() || cfg.ForceStep {
-		prof.Do(cfg.Ctx, profStepped, func(context.Context) {
-			for i := 0; i < cfg.Warmup; i++ {
-				eng.Step()
-			}
-			for rem := cfg.Frames; rem > 0; {
-				n := min(rem, chunkFrames)
-				sp := cfg.Span.Child("mux step", trace.Int("frames", n))
-				stopDrain := metDrainTime.Start()
-				for i := 0; i < n; i++ {
-					st := eng.Step()
-					if st.W > res.MaxW {
-						res.MaxW = st.W
-					}
-					countThresholds(st.W, thr, counts)
-				}
-				stopDrain()
-				sp.End()
-				metOccupancy.Observe(eng.W())
-				rem -= n
-			}
-		})
-	} else {
-		prof.Do(cfg.Ctx, profChunked, func(context.Context) {
-			totalC := float64(cfg.N) * cfg.C
-			inf := math.Inf(1)
-			var w float64
-			for rem := cfg.Warmup; rem > 0; {
-				n := min(rem, chunkFrames)
-				for _, a := range eng.nextChunk(n) {
-					_, w = lindleyStep(w, a, totalC, inf)
-				}
-				rem -= n
-			}
-			for rem := cfg.Frames; rem > 0; {
-				n := min(rem, chunkFrames)
-				chunk := eng.nextChunk(n)
-				spDrain := cfg.Span.Child("mux drain", trace.Int("frames", n))
-				stopDrain := metDrainTime.Start()
-				for _, a := range chunk {
-					_, w = lindleyStep(w, a, totalC, inf)
-					if w > res.MaxW {
-						res.MaxW = w
-					}
-					countThresholds(w, thr, counts)
-				}
-				stopDrain()
-				spDrain.End()
-				metOccupancy.Observe(w)
-				rem -= n
-			}
-		})
-	}
-	metRuns.Inc()
-	metPathChunked.Inc()
-	res.Prob = make([]float64, len(thr))
-	for i, c := range counts {
-		res.Prob[i] = float64(c) / float64(cfg.Frames)
-	}
-	return res, nil
-}
-
-// SampleWorkload runs the infinite-buffer workload recursion and returns
-// every `every`-th frame-boundary workload (total cells), for studying the
-// shape of the stationary queue distribution — e.g. distinguishing the
-// Weibull body of LRD input from the exponential body of Markov input on
-// a log-survival plot. The sampling stride must be ≥ 1; every < 1 is an
-// error, never a silent full-rate or empty sample.
-func SampleWorkload(cfg BOPConfig, every int) ([]float64, error) {
-	if every < 1 {
-		return nil, fmt.Errorf("mux: sampling stride %d must be ≥ 1", every)
-	}
-	// Thresholds are irrelevant here but Validate demands one.
-	c := cfg
-	c.Thresholds = []float64{0}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	eng, err := newBOPEngine(cfg, cfg.Span)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.release()
-	out := make([]float64, 0, cfg.Frames/every+1)
-
-	if eng.closedLoop() || cfg.ForceStep {
-		prof.Do(cfg.Ctx, profStepped, func(context.Context) {
-			for i := 0; i < cfg.Warmup; i++ {
-				eng.Step()
-			}
-			for frame := 0; frame < cfg.Frames; frame++ {
-				st := eng.Step()
-				if frame%every == 0 {
-					out = append(out, st.W)
-				}
-			}
-		})
-		return out, nil
-	}
-
-	prof.Do(cfg.Ctx, profChunked, func(context.Context) {
-		totalC := float64(cfg.N) * cfg.C
-		inf := math.Inf(1)
-		var w float64
-		for rem := cfg.Warmup; rem > 0; {
-			n := min(rem, chunkFrames)
-			for _, a := range eng.nextChunk(n) {
-				_, w = lindleyStep(w, a, totalC, inf)
-			}
-			rem -= n
-		}
-		frame := 0
-		for rem := cfg.Frames; rem > 0; {
-			n := min(rem, chunkFrames)
-			for _, a := range eng.nextChunk(n) {
-				_, w = lindleyStep(w, a, totalC, inf)
-				if frame%every == 0 {
-					out = append(out, w)
-				}
-				frame++
-			}
-			rem -= n
-		}
+	defer src.release()
+	var res BOPResult
+	src.measure(cfg.Ctx, func(context.Context) {
+		res = drainBOP(src, float64(cfg.N)*cfg.C, thr, cfg.Warmup, cfg.Frames, cfg.Span)
 	})
-	return out, nil
+	return res, nil
 }

@@ -379,60 +379,3 @@ func BenchmarkRunZ30Sources(b *testing.B) {
 		}
 	}
 }
-
-func TestSampleWorkload(t *testing.T) {
-	m := iidGaussian(t, 500, 5000)
-	ws, err := SampleWorkload(BOPConfig{
-		Model: m, N: 5, C: 510, Frames: 10000, Seed: 6,
-	}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws) != 1000 {
-		t.Fatalf("got %d samples, want 1000", len(ws))
-	}
-	var positive int
-	for _, w := range ws {
-		if w < 0 {
-			t.Fatal("negative workload")
-		}
-		if w > 0 {
-			positive++
-		}
-	}
-	if positive == 0 {
-		t.Fatal("workload never positive at 98% utilisation")
-	}
-	if _, err := SampleWorkload(BOPConfig{Model: m, N: 5, C: 510, Frames: 10}, 0); err == nil {
-		t.Fatal("stride 0 should error")
-	}
-	if _, err := SampleWorkload(BOPConfig{}, 1); err == nil {
-		t.Fatal("invalid config should error")
-	}
-}
-
-func TestSampleWorkloadMatchesBOP(t *testing.T) {
-	// The empirical survival of sampled workloads must agree with RunBOP's
-	// direct counting for the same seed and stride 1.
-	m := iidGaussian(t, 500, 5000)
-	cfg := BOPConfig{Model: m, N: 5, C: 510, Frames: 50000, Seed: 2,
-		Thresholds: []float64{300}}
-	bop, err := RunBOP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := SampleWorkload(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var count int
-	for _, w := range ws {
-		if w > 300 {
-			count++
-		}
-	}
-	got := float64(count) / float64(len(ws))
-	if math.Abs(got-bop.Prob[0]) > 1e-12 {
-		t.Fatalf("survival %v vs RunBOP %v", got, bop.Prob[0])
-	}
-}

@@ -3,12 +3,9 @@ package mux
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/runner"
-	"repro/internal/telemetry/prof"
 	"repro/internal/trace"
-	"repro/internal/traffic"
 )
 
 // RunSweep measures the finite-buffer CLR at several buffer sizes in a
@@ -18,7 +15,8 @@ import (
 // buffer curves are positively coupled exactly as in the paper's plots.
 //
 // cfg.B is ignored; buffersCells lists per-source buffer allocations b
-// (total buffer N·b each). Results are returned in ascending buffer order.
+// (total buffer N·b each). Results[j] is the run at buffersCells[j], in
+// the caller's order; Run is the one-buffer case.
 func RunSweep(cfg Config, buffersCells []float64) ([]Result, error) {
 	cfg.B = 0
 	if err := cfg.Validate(); err != nil {
@@ -27,101 +25,31 @@ func RunSweep(cfg Config, buffersCells []float64) ([]Result, error) {
 	if len(buffersCells) == 0 {
 		return nil, fmt.Errorf("mux: empty buffer sweep")
 	}
-	bs := append([]float64(nil), buffersCells...)
-	sort.Float64s(bs)
-	for _, b := range bs {
+	totalB := make([]float64, len(buffersCells))
+	for j, b := range buffersCells {
 		if !nonNegative(b) {
 			return nil, fmt.Errorf("mux: buffer %v in sweep must be non-negative and finite", b)
 		}
+		totalB[j] = float64(cfg.N) * b
 	}
-
-	gens, err := sourceGenerators(cfg.Model, cfg.N, cfg.Seed)
+	src, err := newSources(cfg.Model, cfg.N, cfg.Seed, cfg.Span)
 	if err != nil {
 		return nil, err
 	}
+	defer src.release()
 	// A coupled sweep shares one arrival sample path across every buffer
 	// size — structurally impossible for closed-loop sources, whose
 	// arrivals depend on the buffer through the feedback tap.
-	for i, g := range gens {
-		if traffic.IsClosedLoop(g) {
-			return nil, fmt.Errorf("mux: model %q source %d is closed-loop; "+
-				"feedback couples arrivals to the buffer size, so buffers cannot "+
-				"share a sweep — run per-buffer replications (RunReplicationsEngine) instead",
-				cfg.Model.Name(), i)
-		}
+	if src.closedLoop() {
+		return nil, fmt.Errorf("mux: model %q has closed-loop sources; "+
+			"feedback couples arrivals to the buffer size, so buffers cannot "+
+			"share a sweep — run per-buffer replications (RunReplicationsEngine) instead",
+			cfg.Model.Name())
 	}
-	ba := newBlockAggregator(gens)
-	ba.span = cfg.Span
-	defer ba.release()
-	totalC := float64(cfg.N) * cfg.C
-	totalB := make([]float64, len(bs))
-	for i, b := range bs {
-		totalB[i] = float64(cfg.N) * b
-	}
-
-	results := make([]Result, len(bs))
-	// Coupled sweeps are chunked by construction (closed-loop sources were
-	// rejected above), so the whole pass profiles as path=chunked.
-	prof.Do(cfg.Ctx, profChunked, func(context.Context) {
-		w := make([]float64, len(bs))
-		for rem := cfg.Warmup; rem > 0; {
-			n := min(rem, chunkFrames)
-			for _, a := range ba.next(n) {
-				for j := range w {
-					_, w[j] = lindleyStep(w[j], a, totalC, totalB[j])
-				}
-			}
-			rem -= n
-		}
-		for j := range results {
-			results[j] = Result{Frames: cfg.Frames, InitialW: w[j]}
-		}
-		sumW := make([]float64, len(bs))
-		for rem := cfg.Frames; rem > 0; {
-			n := min(rem, chunkFrames)
-			chunk := ba.next(n)
-			spDrain := cfg.Span.Child("mux drain", trace.Int("frames", n))
-			stopDrain := metDrainTime.Start()
-			for _, a := range chunk {
-				for j := range w {
-					res := &results[j]
-					res.ArrivedCells += a
-					loss, next := lindleyStep(w[j], a, totalC, totalB[j])
-					if loss > 0 {
-						res.LostCells += loss
-						res.LossFrames++
-					}
-					w[j] = next
-					sumW[j] += w[j]
-					if w[j] > res.MaxWorkload {
-						res.MaxWorkload = w[j]
-					}
-				}
-			}
-			stopDrain()
-			spDrain.End()
-			// One occupancy sample per chunk, from the largest buffer in the
-			// sweep — the recursion whose workload the asymptotics study.
-			metOccupancy.Observe(w[len(w)-1])
-			rem -= n
-		}
-		for j := range results {
-			res := &results[j]
-			res.FinalW = w[j]
-			res.MeanWorkload = sumW[j] / float64(cfg.Frames)
-			if res.ArrivedCells > 0 {
-				res.CLR = res.LostCells / res.ArrivedCells
-			}
-		}
+	var results []Result
+	src.measure(cfg.Ctx, func(context.Context) {
+		results = drainCLR(src, float64(cfg.N)*cfg.C, totalB, cfg.Warmup, cfg.Frames, cfg.Span)
 	})
-	metRuns.Inc()
-	metPathChunked.Inc()
-	if len(results) > 0 {
-		// Arrivals are shared across the coupled recursions; count them
-		// once. Losses differ per buffer; count the largest buffer's.
-		metCellsArrived.Add(results[0].ArrivedCells)
-		metCellsLost.Add(results[len(results)-1].LostCells)
-	}
 	return results, nil
 }
 
@@ -148,8 +76,8 @@ func sweepSpec(cfg Config, buffersCells []float64, reps int) runner.Spec {
 }
 
 // SweepReplicationsEngine runs reps independent RunSweep passes on the
-// engine's worker pool and returns results indexed [buffer][replication]
-// (buffers in ascending order, as RunSweep reports them). Replication i
+// engine's worker pool and returns results indexed [buffer][replication],
+// buffers in the caller's order as RunSweep reports them. Replication i
 // always runs with the splitmix64-derived seed of (cfg.Seed, job, i), so
 // the output is bit-identical for every worker count; the engine provides
 // cancellation, progress counters and checkpoint/resume.

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/models"
 	"repro/internal/runner"
 )
@@ -37,22 +36,36 @@ func TestRunSweepMatchesIndividualRuns(t *testing.T) {
 	}
 }
 
-func TestRunSweepSortsBuffers(t *testing.T) {
+// TestRunSweepKeepsCallerOrder holds RunSweep to the order its callers
+// index by: result j is the run at buffersCells[j], whatever that order.
+func TestRunSweepKeepsCallerOrder(t *testing.T) {
 	z, err := models.NewZ(0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Model: z, N: 3, C: 520, Frames: 2000, Seed: 5}
-	res, err := RunSweep(cfg, []float64{50, 0, 10})
+	cfg := Config{Model: z, N: 3, C: 520, Frames: 2000, Warmup: 100, Seed: 5}
+	buffers := []float64{50, 0, 10, 0}
+	sweep, err := RunSweep(cfg, buffers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ascending buffers ⇒ non-increasing loss.
-	for i := 1; i < len(res); i++ {
-		if res[i].LostCells > res[i-1].LostCells {
-			t.Fatalf("loss not monotone across sweep: %v then %v",
-				res[i-1].LostCells, res[i].LostCells)
+	if len(sweep) != len(buffers) {
+		t.Fatalf("got %d results for %d buffers", len(sweep), len(buffers))
+	}
+	for j, b := range buffers {
+		single := cfg
+		single.B = b
+		want, err := Run(single)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if sweep[j] != want {
+			t.Errorf("buffer %v at index %d: sweep %+v != Run %+v", b, j, sweep[j], want)
+		}
+	}
+	if sweep[1].LostCells <= sweep[0].LostCells {
+		t.Errorf("zero buffer lost %v cells, no more than the 50-cell buffer's %v",
+			sweep[1].LostCells, sweep[0].LostCells)
 	}
 }
 
@@ -176,81 +189,6 @@ func TestSweepCLRConsistent(t *testing.T) {
 		}
 		if math.Abs(r.CLR-r.LostCells/r.ArrivedCells) > 1e-15 {
 			t.Fatal("CLR inconsistent with counts")
-		}
-	}
-}
-
-func TestRunMixHomogeneousMatchesRun(t *testing.T) {
-	// A homogeneous mix must reproduce Run exactly for the same seed.
-	z, err := models.NewZ(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Model: z, N: 8, C: 515, B: 30, Frames: 6000, Seed: 13}
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := RunMix(MixConfig{
-		Mix:    core.Mix{{Model: z, Count: 8}},
-		TotalC: 515 * 8, TotalB: 30 * 8,
-		Frames: 6000, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain != mixed {
-		t.Fatalf("mix %+v != plain %+v", mixed, plain)
-	}
-}
-
-func TestRunMixHeterogeneous(t *testing.T) {
-	z, err := models.NewZ(0.975)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := models.FitS(z, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunMix(MixConfig{
-		Mix:    core.Mix{{Model: z, Count: 5}, {Model: d, Count: 5}},
-		TotalC: 515 * 10, TotalB: 100,
-		Frames: 20000, Warmup: 500, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ArrivedCells <= 0 {
-		t.Fatal("no arrivals")
-	}
-	if res.MaxWorkload > 100+1e-9 {
-		t.Fatal("workload exceeded buffer")
-	}
-	if res.CLR < 0 || res.CLR > 1 {
-		t.Fatalf("CLR %v out of range", res.CLR)
-	}
-}
-
-func TestRunMixValidation(t *testing.T) {
-	z, _ := models.NewZ(0.9)
-	good := MixConfig{
-		Mix: core.Mix{{Model: z, Count: 1}}, TotalC: 600, TotalB: 10, Frames: 10,
-	}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []MixConfig{
-		{Mix: core.Mix{}, TotalC: 600, TotalB: 10, Frames: 10},
-		{Mix: core.Mix{{Model: z, Count: 1}}, TotalC: 0, TotalB: 10, Frames: 10},
-		{Mix: core.Mix{{Model: z, Count: 1}}, TotalC: 600, TotalB: -1, Frames: 10},
-		{Mix: core.Mix{{Model: z, Count: 1}}, TotalC: 600, TotalB: 10, Frames: 0},
-		{Mix: core.Mix{{Model: z, Count: 1}}, TotalC: math.NaN(), TotalB: 10, Frames: 10},
-		{Mix: core.Mix{{Model: z, Count: 1}}, TotalC: 600, TotalB: math.NaN(), Frames: 10},
-	}
-	for i, c := range bad {
-		if _, err := RunMix(c); err == nil {
-			t.Errorf("case %d: expected error", i)
 		}
 	}
 }

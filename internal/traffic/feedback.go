@@ -3,7 +3,7 @@ package traffic
 import "math"
 
 // Feedback is the per-frame multiplexer state handed to closed-loop
-// sources by the stepped simulation engine (mux.Engine). All quantities
+// sources by the multiplexer's Lindley drains (package mux). All quantities
 // describe the frame that has just been served, after its Lindley update:
 // the source observing the feedback may use it to shape the *next* frame
 // it emits.
@@ -43,29 +43,28 @@ func (f Feedback) Occupancy() float64 {
 }
 
 // FeedbackGenerator is a Generator whose emission adapts to multiplexer
-// feedback — a closed-loop source. The stepped engine calls Observe
+// feedback — a closed-loop source. The multiplexer calls Observe
 // exactly once per simulated frame (warm-up included), immediately after
 // the frame's Lindley update and before the next NextFrame call, so the
 // generator sees an uninterrupted queue-state sequence.
 //
 // Implementations must remain deterministic functions of (seed, feedback
 // sequence): given the same seed and the same sequence of Observe calls,
-// the emitted frames must be bit-identical. The engine guarantees the
+// the emitted frames must be bit-identical. The multiplexer guarantees the
 // feedback sequence itself is deterministic, so closed-loop runs stay
 // reproducible across repeats and worker counts.
 //
 // A FeedbackGenerator should NOT also implement BlockGenerator: frames
 // must be drawn one at a time so each one can react to the latest
-// feedback. The engine ignores a Fill method on closed-loop sources.
+// feedback. The multiplexer ignores a Fill method on closed-loop sources.
 type FeedbackGenerator interface {
 	Generator
 	// Observe delivers the multiplexer state after one served frame.
 	Observe(fb Feedback)
 }
 
-// IsClosedLoop reports whether g adapts to multiplexer feedback. The
-// stepped engine uses this to decide between the chunked open-loop fast
-// path and per-frame stepping.
+// IsClosedLoop reports whether g adapts to multiplexer feedback, and so
+// must be drawn and fed back one frame at a time.
 func IsClosedLoop(g Generator) bool {
 	_, ok := g.(FeedbackGenerator)
 	return ok

@@ -60,8 +60,8 @@ func main() {
 	var fitted []*dar.Process
 	for _, os_ := range strings.Split(*orders, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(os_))
-		if err != nil || p < 1 {
-			fatal(fmt.Errorf("bad order %q", os_))
+		if err != nil || p < 1 || p > dar.MaxOrder {
+			fatal(fmt.Errorf("bad order %q: want an integer in [1, %d]", os_, dar.MaxOrder))
 		}
 		target := make([]float64, p)
 		for k := 1; k <= p; k++ {

@@ -306,6 +306,13 @@ func (g *generator) Fill(dst []float64) {
 	}
 }
 
+// MaxOrder is the largest DAR order Fit accepts. The paper fits p ≤ 3
+// (Table 1); 64 leaves twenty times that for experiments while keeping the
+// dense p×p Yule–Walker system at 32 KiB and its O(p³) solve well under a
+// millisecond. Orders arrive from model specs and command-line flags, so
+// without a bound a mistyped order asks for gigabytes instead of failing.
+const MaxOrder = 64
+
 // Fit solves for the DAR(p) parameters (ρ, a) that exactly match the target
 // autocorrelations target[0..p-1] = r(1)..r(p). This is the construction of
 // the paper's model S (§3.1, Table 1): the Yule-Walker relations are linear
@@ -313,11 +320,15 @@ func (g *generator) Fill(dst []float64) {
 //
 // Fit returns an error when the target correlations are not achievable by a
 // DAR(p) (the solved ρ falls outside [0, 1) or some a_i is negative), which
-// signals the caller to reduce p or adjust targets.
+// signals the caller to reduce p or adjust targets, and when p exceeds
+// MaxOrder.
 func Fit(target []float64, marginal Marginal) (*Process, error) {
 	p := len(target)
 	if p == 0 {
 		return nil, errors.New("dar: no target correlations")
+	}
+	if p > MaxOrder {
+		return nil, fmt.Errorf("dar: order %d above the maximum %d", p, MaxOrder)
 	}
 	for i, r := range target {
 		if r <= -1 || r >= 1 {

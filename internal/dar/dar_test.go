@@ -261,6 +261,32 @@ func TestFitRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestFitOrderCap holds Fit to MaxOrder: geometric targets, feasible at
+// every order, fit at the cap and are refused one above it.
+func TestFitOrderCap(t *testing.T) {
+	for _, tc := range []struct {
+		p  int
+		ok bool
+	}{
+		{1, true},
+		{MaxOrder, true},
+		{MaxOrder + 1, false},
+	} {
+		tg := make([]float64, tc.p)
+		for k := range tg {
+			tg[k] = math.Pow(0.5, float64(k+1))
+		}
+		proc, err := Fit(tg, gauss())
+		if (err == nil) != tc.ok {
+			t.Errorf("order %d: err = %v, want ok = %v", tc.p, err, tc.ok)
+			continue
+		}
+		if tc.ok && proc.Order() != tc.p {
+			t.Errorf("order %d: fitted order %d", tc.p, proc.Order())
+		}
+	}
+}
+
 // Property: any DAR(1)-feasible single target round-trips through Fit.
 func TestFitDAR1RoundTripProperty(t *testing.T) {
 	f := func(raw float64) bool {

@@ -314,8 +314,8 @@ func FitLAlpha(target traffic.Model, lagLo, lagHi int) (float64, error) {
 // autocorrelations exactly match those of z, sharing the same Gaussian
 // marginal (paper §3.1, Table 1).
 func FitS(z traffic.Model, p int) (*dar.Process, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("models: DAR order %d must be ≥ 1", p)
+	if p < 1 || p > dar.MaxOrder {
+		return nil, fmt.Errorf("models: DAR order %d must be in [1, %d]", p, dar.MaxOrder)
 	}
 	target := make([]float64, p)
 	for k := 1; k <= p; k++ {

@@ -40,7 +40,7 @@ func TestParseValid(t *testing.T) {
 func TestParseInvalid(t *testing.T) {
 	bad := []string{
 		"", "q:1", "z", "z:abc", "z:2", "v:-1", "l:1",
-		"dar", "dar:0.9", "dar:0.9:x", "dar:0.9:0",
+		"dar", "dar:0.9", "dar:0.9:x", "dar:0.9:0", "dar:0.975:65", "dar:0.975:100000",
 		"dar1:1.5", "fgn:0", "fgn", "dar1",
 		"mginf:0.5", "mginf", "mpeg:0", "mpeg", "farima:0.6", "farima", "mmpp:0", "mmpp",
 		"aimd", "aimd:", "aimd:q:1", "aimd:z:2",

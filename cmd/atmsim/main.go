@@ -11,8 +11,9 @@
 // With -adaptive (or an aimd:<spec> model spec) sources are closed-loop:
 // an AIMD controller scales each source's frame sizes against the queue
 // state the multiplexer feeds back after every frame. Closed-loop CLR runs
-// execute one replication batch per buffer size instead of the coupled
-// single-pass sweep, since feedback couples arrivals to the buffer.
+// share the coupled single-pass sweep: each replication draws the sources'
+// open-loop frames once, and every buffer size scales them by its own
+// controllers.
 //
 // With -bop the infinite-buffer overflow probability P(W > x) is measured
 // instead, at the workload levels implied by -buffers. CLR replications
@@ -128,7 +129,7 @@ func main() {
 			res, err := mux.RunBOP(mux.BOPConfig{
 				Model: m, N: *n, C: *c, Frames: *frames * *reps,
 				Warmup: *frames / 10, Seed: *seed, Thresholds: thresholds,
-				Span: sp,
+				Span: sp, Ctx: mctx,
 			})
 			sp.End()
 			if err != nil {
@@ -144,36 +145,15 @@ func main() {
 			Model: m, N: *n, C: *c, Frames: *frames,
 			Warmup: *frames / 20, Seed: *seed,
 		}
-		// Closed-loop models cannot share a coupled buffer sweep (the
-		// feedback tap makes arrivals depend on the buffer), so each
-		// buffer runs its own replication batch through the stepped
-		// engine; open-loop models keep the coupled single-pass sweep.
-		var byBuffer [][]mux.Result
-		if traffic.IsClosedLoopModel(m) {
-			byBuffer = make([][]mux.Result, len(cells))
-			for i, b := range cells {
-				c := cfg
-				c.B = b
-				// Per-buffer batches are independent runs, so samples also
-				// carry the buffer size they were spent on.
-				bctx := prof.WithLabels(mctx, prof.Labels{SweepPoint: fmt.Sprintf("%gmsec", msecs[i])})
-				results, err := mux.RunReplicationsEngine(trace.ContextWith(bctx, sp), eng, c, *reps)
-				if err != nil {
-					sp.End()
-					fatal(err)
-				}
-				byBuffer[i] = results
-			}
-			sp.End()
-		} else {
-			var err error
-			byBuffer, err = mux.SweepReplicationsEngine(
-				trace.ContextWith(prof.WithLabels(mctx, prof.Labels{SweepPoint: "coupled"}), sp),
-				eng, cfg, cells, *reps)
-			sp.End()
-			if err != nil {
-				fatal(err)
-			}
+		// One coupled sweep per model: open-loop sources share one arrival
+		// path across the buffers, closed-loop ones one base path that
+		// each buffer's controllers scale.
+		byBuffer, err := mux.SweepReplicationsEngine(
+			trace.ContextWith(prof.WithLabels(mctx, prof.Labels{SweepPoint: "coupled"}), sp),
+			eng, cfg, cells, *reps)
+		sp.End()
+		if err != nil {
+			fatal(err)
 		}
 		fmt.Printf("  %-12s %-14s %-22s\n", "buffer msec", "CLR", "95% CI")
 		for i := range cells {

@@ -3,20 +3,15 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/diag"
 	"repro/internal/models"
-	"repro/internal/mux"
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/prof"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
 // ClosedLoopBufferGridMsec is the buffer grid of the closed-loop figure.
-// It spans the same practical range as SimBufferGridMsec but with fewer
-// points: closed-loop curves cannot share one arrival path across buffer
-// sizes (the feedback tap couples arrivals to the buffer), so every point
-// is a full per-buffer simulation rather than one leg of a coupled sweep.
+// It spans the same practical range as SimBufferGridMsec with fewer
+// points. Like the open-loop grids it is one coupled sweep: each
+// replication draws the sources' open-loop base path once, and every
+// buffer size scales it by its own AIMD controllers.
 var ClosedLoopBufferGridMsec = []float64{0, 1, 2, 4, 8, 14, 20}
 
 // ClosedLoopC is the per-source bandwidth of the closed-loop figure,
@@ -26,61 +21,6 @@ var ClosedLoopBufferGridMsec = []float64{0, 1, 2, 4, 8, 14, 20}
 // (≈ 98% offered load) the open-loop families lose ~1e-3 of their cells
 // and the open-vs-adaptive gap is the figure's subject, not noise.
 const ClosedLoopC float64 = 510
-
-// closedLoopSeries measures the simulated CLR of one (typically adaptive)
-// model across the buffer grid with independent per-buffer runs, fanning
-// the replications of each point over cfg's orchestration engine. All
-// points share the master seed, so their underlying open-loop draws are
-// positively coupled exactly like the coupled sweep's — only the
-// feedback-driven adaptation differs per buffer. Results are bit-identical
-// for any worker count: each replication's feedback dynamics are confined
-// to its own serial step loop.
-func closedLoopSeries(m traffic.Model, c float64, n int, grid []float64, cfg SimConfig) (Series, error) {
-	if err := cfg.Validate(); err != nil {
-		return Series{}, err
-	}
-	sp := cfg.Span.Child("closed-loop sweep "+m.Name(),
-		trace.Int("N", n), trace.Float("c", c), trace.Int("reps", cfg.Reps))
-	defer sp.End()
-	ctx := trace.ContextWith(cfg.context(), sp)
-	ctx = prof.WithLabels(ctx, prof.Labels{Model: m.Name()})
-	eng := cfg.engine()
-	s := Series{Label: m.Name()}
-	clrs := make([]float64, cfg.Reps)
-	for _, msec := range grid {
-		// Unlike the coupled sweep, every grid point is its own simulation,
-		// so CPU samples carry the buffer size they were spent on.
-		pctx := prof.WithLabels(ctx, prof.Labels{SweepPoint: fmt.Sprintf("%gmsec", msec)})
-		run := mux.Config{
-			Model:  m,
-			N:      n,
-			C:      c,
-			B:      MsecToPerSourceCells(msec, c),
-			Frames: cfg.Frames,
-			Warmup: cfg.Frames / 20,
-			Seed:   cfg.Seed,
-		}
-		results, err := mux.RunReplicationsEngine(pctx, eng, run, cfg.Reps)
-		if err != nil {
-			return Series{}, fmt.Errorf("closed-loop %s: %w", m.Name(), err)
-		}
-		ci := mux.CLREstimate(results, 0.95)
-		s.X = append(s.X, msec)
-		s.Y = append(s.Y, ci.Point)
-		s.Lo = append(s.Lo, ci.Low())
-		s.Hi = append(s.Hi, ci.High())
-		for rep, r := range results {
-			clrs[rep] = r.CLR
-		}
-		v := diag.Assess(clrs, cfg.convRel())
-		publishConvergence(v)
-		s.Verdicts = append(s.Verdicts, v)
-		if !v.Converged {
-			telemetry.Log.Warnf("%s buffer %g msec: %s", m.Name(), msec, v)
-		}
-	}
-	return s, nil
-}
 
 // closedLoopBases assembles the figure's base models: one of each family
 // the paper sweeps — V^1 (balanced composite), Z^0.975 (the headline
@@ -118,10 +58,11 @@ func closedLoopBases() ([]traffic.Model, error) {
 // and, across model families, whether the Markov model S still tracks the
 // LRD models Z and L once all of them adapt.
 //
-// Open-loop twins run through the coupled sweep (one arrival path, all
-// buffers); adaptive series run per-buffer, fed back every frame.
-// Both fan replications over cfg's engine and are bit-identical for any
-// worker count.
+// Both series of a family run through the coupled sweep: one arrival
+// path per replication for the open-loop twin, one base path per
+// replication for the adaptive series, whose controllers at each buffer
+// are fed back every frame. Both fan replications over cfg's engine and
+// are bit-identical for any worker count.
 func ExtClosedLoop(cfg SimConfig) (*Result, error) {
 	bases, err := closedLoopBases()
 	if err != nil {
@@ -142,7 +83,7 @@ func ExtClosedLoop(cfg SimConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		closed, err := closedLoopSeries(ad, ClosedLoopC, BopN, ClosedLoopBufferGridMsec, cfg)
+		closed, err := clrSeries(ad, ClosedLoopC, BopN, ClosedLoopBufferGridMsec, cfg)
 		if err != nil {
 			return nil, err
 		}

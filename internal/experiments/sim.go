@@ -22,7 +22,8 @@ var SimBufferGridMsec = []float64{0, 1, 2, 4, 6, 8, 10, 14, 20}
 
 // clrSeries measures the simulated CLR of one model across the buffer grid
 // using a coupled sweep (one arrival stream per replication drives all
-// buffer sizes), averaging over cfg.Reps replications. Replications are
+// buffer sizes; for a closed-loop model, one base stream that each
+// buffer's controllers scale), averaging over cfg.Reps replications. Replications are
 // fanned out over cfg's orchestration engine; the estimates are
 // bit-identical for any worker count.
 //

@@ -147,25 +147,66 @@ func (m *AIMD) Variance() float64 { return m.base.Variance() }
 func (m *AIMD) ACF(k int) float64 { return m.base.ACF(k) }
 
 // NewGenerator implements traffic.Model. The returned generator
-// implements traffic.FeedbackGenerator, so the multiplexer engine steps
-// it frame-by-frame and delivers queue feedback after every frame.
+// implements traffic.FeedbackGenerator, so the multiplexer can step it
+// frame by frame and deliver queue feedback after every frame; it is the
+// one-buffer form of the Base/NewController split.
 func (m *AIMD) NewGenerator(seed int64) traffic.Generator {
 	g := m.base.NewGenerator(seed)
 	if g == nil {
 		return nil
 	}
-	return &aimdGen{base: g, cfg: m.cfg, rate: 1}
+	return &aimdGen{base: g, aimdController: m.newController()}
 }
 
-// aimdGen is the closed-loop generator: deterministic in (seed, feedback
-// sequence) — the controller state is a pure function of the observed
-// feedback, and the base generator owns all randomness.
-type aimdGen struct {
-	base traffic.Generator
+// NewController implements traffic.ClosedLoopModel: one source's
+// controller at full rate, for the multiplexer to drive from a base path
+// it draws once for every buffer size.
+func (m *AIMD) NewController() traffic.Controller {
+	c := m.newController()
+	return &c
+}
+
+func (m *AIMD) newController() aimdController {
+	return aimdController{cfg: m.cfg, rate: 1}
+}
+
+// aimdController is one source's AIMD state: a pure function of the
+// observed feedback sequence.
+type aimdController struct {
 	cfg  AIMDConfig
 	rate float64 // current rate factor, clamped to [MinRate, MaxRate]
 	occ  float64 // EWMA of the occupancy signal
 	n    uint64  // observed frames, for telemetry sampling
+}
+
+// Rate implements traffic.Controller.
+func (c *aimdController) Rate() float64 { return c.rate }
+
+// Observe implements traffic.Controller: one AIMD update per served
+// frame.
+func (c *aimdController) Observe(fb traffic.Feedback) {
+	c.occ += c.cfg.Smoothing * (fb.Occupancy() - c.occ)
+	if fb.Loss > 0 || c.occ > c.cfg.Target {
+		c.rate *= c.cfg.Decrease
+	} else {
+		c.rate += c.cfg.Increase
+	}
+	if c.rate < c.cfg.MinRate {
+		c.rate = c.cfg.MinRate
+	} else if c.rate > c.cfg.MaxRate {
+		c.rate = c.cfg.MaxRate
+	}
+	if c.n%rateSampleStride == 0 {
+		metAIMDRate.Observe(c.rate)
+	}
+	c.n++
+}
+
+// aimdGen is the closed-loop generator: a base generator, which owns all
+// randomness, and its controller. Its Observe is the controller's.
+type aimdGen struct {
+	base traffic.Generator
+	aimdController
 }
 
 // NextFrame implements traffic.Generator: the base draw scaled by the
@@ -175,24 +216,4 @@ type aimdGen struct {
 // sample path.
 func (g *aimdGen) NextFrame() float64 {
 	return g.base.NextFrame() * g.rate
-}
-
-// Observe implements traffic.FeedbackGenerator: one AIMD update per
-// served frame.
-func (g *aimdGen) Observe(fb traffic.Feedback) {
-	g.occ += g.cfg.Smoothing * (fb.Occupancy() - g.occ)
-	if fb.Loss > 0 || g.occ > g.cfg.Target {
-		g.rate *= g.cfg.Decrease
-	} else {
-		g.rate += g.cfg.Increase
-	}
-	if g.rate < g.cfg.MinRate {
-		g.rate = g.cfg.MinRate
-	} else if g.rate > g.cfg.MaxRate {
-		g.rate = g.cfg.MaxRate
-	}
-	if g.n%rateSampleStride == 0 {
-		metAIMDRate.Observe(g.rate)
-	}
-	g.n++
 }

@@ -12,10 +12,10 @@ import (
 	"repro/internal/traffic"
 )
 
-// Feedback-path telemetry. metFeedbackSteps counts per-frame feedback
-// deliveries (one per served frame of a closed-loop run, regardless of how
-// many sources listen); it is flushed once per run from the sources'
-// frame count, never bumped per frame.
+// Feedback-path telemetry. metFeedbackSteps counts feedback deliveries:
+// one per served frame per buffer of a closed-loop run, regardless of how
+// many sources listen. It is flushed once per run from the sources' frame
+// count, never bumped per frame.
 var metFeedbackSteps = telemetry.Default.Counter("mux_feedback_steps_total")
 
 // Profiling labels for runs without and with a closed-loop source,
@@ -54,42 +54,82 @@ var zeroChunk [chunkFrames]float64
 
 // sources is the arrival side of one run. Open-loop sources are pooled
 // into one blockAggregator and pulled in chunkFrames blocks; closed-loop
-// sources (traffic.FeedbackGenerator) are drawn one frame at a time, so
-// each frame can react to the feedback of the one before.
+// sources are drawn one frame at a time, so each frame can react to the
+// feedback of the one before.
+//
+// A closed-loop source is a base stream and one controller per buffer
+// size: its frame at buffer j is its base draw times ctl[j][i].Rate().
+// For a traffic.ClosedLoopModel the base is the model's open-loop Base,
+// drawn once per frame for every buffer. A source that is only a
+// traffic.FeedbackGenerator is its own base, under a tap controller of
+// rate 1 that forwards the feedback, so it serves a single buffer.
 //
 // Aggregation order: a frame's arrivals are the open-loop sources' sum
 // (in source order) plus the closed-loop sources' frames (in source
 // order). For a pure open-loop run this is plain source order, the same
 // summation as the scalar per-frame protocol.
 type sources struct {
-	open   *blockAggregator // nil when every source is closed-loop
-	closed []traffic.FeedbackGenerator
-	frame  int // frames served through step, warm-up included
+	open   *blockAggregator       // nil when every source is closed-loop
+	closed []traffic.Generator    // closed-loop sources' base streams
+	ctl    [][]traffic.Controller // ctl[j][i]: closed-loop source i at buffer j
+	base   []float64              // the current frame's base draws
+	frame  int                    // frames served through draw, warm-up included
 }
 
-// newSources builds n independent sources of m from master seed sd and
-// partitions them into the open-loop pool and the closed-loop list. Every
-// newSources must be paired with a deferred release.
-func newSources(m traffic.Model, n int, sd int64, span trace.Span) (*sources, error) {
-	gens, err := sourceGenerators(m, n, sd)
+// newSources builds n independent sources of m from master seed sd, with
+// closed-loop state for buffers buffer sizes, and partitions them into the
+// open-loop pool and the closed-loop list. Every newSources must be paired
+// with a deferred release.
+func newSources(m traffic.Model, n int, sd int64, buffers int, span trace.Span) (*sources, error) {
+	cm, split := m.(traffic.ClosedLoopModel)
+	gm := m
+	if split {
+		gm = cm.Base()
+	}
+	gens, err := sourceGenerators(gm, n, sd)
 	if err != nil {
 		return nil, err
 	}
-	s := &sources{}
+	s := &sources{ctl: make([][]traffic.Controller, buffers)}
 	var open []traffic.Generator
 	for _, g := range gens {
-		if fg, ok := g.(traffic.FeedbackGenerator); ok {
-			s.closed = append(s.closed, fg)
-		} else {
+		fg, tapped := g.(traffic.FeedbackGenerator)
+		if !split && !tapped {
 			open = append(open, g)
+			continue
 		}
+		s.closed = append(s.closed, g)
+		for j := range s.ctl {
+			var k traffic.Controller = tap{fg}
+			if split {
+				if k = cm.NewController(); k == nil {
+					return nil, fmt.Errorf("mux: model %q returned a nil controller", m.Name())
+				}
+			}
+			s.ctl[j] = append(s.ctl[j], k)
+		}
+	}
+	if !split && s.closedLoop() && buffers > 1 {
+		return nil, fmt.Errorf("mux: model %q has closed-loop sources without a "+
+			"base/controller split (traffic.ClosedLoopModel), so each of them "+
+			"serves one buffer: run per-buffer replications (RunReplicationsEngine) instead",
+			m.Name())
 	}
 	if len(open) > 0 {
 		s.open = newBlockAggregator(open)
 		s.open.span = span
 	}
+	s.base = make([]float64, len(s.closed))
 	return s, nil
 }
+
+// tap is the controller of a closed-loop source that is its own base: the
+// source scales its frames itself, so the rate is 1, and it observes the
+// feedback directly.
+type tap struct{ g traffic.FeedbackGenerator }
+
+func (t tap) Rate() float64               { return 1 }
+func (t tap) Observe(fb traffic.Feedback) { t.g.Observe(fb) }
 
 // sourceGenerators builds n independent generators, source i seeded with
 // seed.Derive(sd, i) — the derivation package cellsim shares, so fluid and
@@ -145,18 +185,27 @@ func (s *sources) pass(n int, measured bool, span trace.Span, drain func(open []
 	}
 }
 
-// step serves one frame with closed-loop sources: it adds their draws to
-// the open-loop aggregate a, advances the Lindley recursion from w
-// against capacity c and buffer b (+Inf for infinite-buffer runs), and
-// delivers the post-frame Feedback to every closed-loop source before any
-// of them draws again. It returns the frame's total arrivals, its loss and
-// the workload after it.
-func (s *sources) step(a, w, c, b float64) (arrived, loss, next float64) {
-	for _, g := range s.closed {
-		a += g.NextFrame()
+// draw draws the next base frame of every closed-loop source. It is called
+// once per frame, before step serves that frame at each buffer.
+func (s *sources) draw() {
+	for i, g := range s.closed {
+		s.base[i] = g.NextFrame()
+	}
+	s.frame++
+}
+
+// step serves the drawn frame at buffer j: it adds the closed-loop
+// sources' frames at that buffer to the open-loop aggregate a, advances
+// the Lindley recursion from w against capacity c and buffer b (+Inf for
+// infinite-buffer runs), and delivers the post-frame Feedback to every
+// controller of buffer j. It returns the frame's total arrivals, its loss
+// and the workload after it.
+func (s *sources) step(j int, a, w, c, b float64) (arrived, loss, next float64) {
+	ctl := s.ctl[j]
+	for i, x := range s.base {
+		a += x * ctl[i].Rate()
 	}
 	loss, next = lindleyStep(w, a, c, b)
-	s.frame++
 	fb := traffic.Feedback{
 		Frame:    s.frame,
 		W:        next,
@@ -167,8 +216,8 @@ func (s *sources) step(a, w, c, b float64) (arrived, loss, next float64) {
 		// that arrived or was queued either remains queued, was lost, or left.
 		Utilization: (w + a - loss - next) / c,
 	}
-	for _, g := range s.closed {
-		g.Observe(fb)
+	for _, k := range ctl {
+		k.Observe(fb)
 	}
 	return a, loss, next
 }
@@ -186,8 +235,9 @@ func (s *sources) measure(ctx context.Context, f func(context.Context)) {
 	path.Inc()
 }
 
-// release returns pooled buffers and flushes the feedback counters: the
-// frames served with closed-loop sources, and their per-source frames.
+// release returns pooled buffers and flushes the feedback counters: one
+// feedback step per frame served at each buffer, and the closed-loop
+// sources' base frames, each drawn once however many buffers it serves.
 // The sources must not be used afterwards.
 func (s *sources) release() {
 	if s.open != nil {
@@ -195,7 +245,7 @@ func (s *sources) release() {
 		s.open = nil
 	}
 	if s.frame > 0 {
-		metFeedbackSteps.Add(int64(s.frame))
+		metFeedbackSteps.Add(int64(s.frame) * int64(len(s.ctl)))
 		metFrames.Add(int64(s.frame) * int64(len(s.closed)))
 	}
 }
@@ -203,8 +253,9 @@ func (s *sources) release() {
 // drainCLR measures the finite-buffer CLR of src at every total buffer in
 // totalB over one arrival sample path: warmup frames, then frames measured
 // frames. It returns one Result per buffer, in totalB's order. Closed-loop
-// sources make arrivals depend on the buffer, so with them totalB must hold
-// exactly one buffer; the open-loop per-buffer loops stay branch-free.
+// sources draw their base frame once per frame and serve it at every
+// buffer through that buffer's controllers; the open-loop per-buffer loops
+// stay branch-free.
 func drainCLR(src *sources, totalC float64, totalB []float64, warmup, frames int, span trace.Span) []Result {
 	w := make([]float64, len(totalB))
 	res := make([]Result, len(totalB))
@@ -218,13 +269,15 @@ func drainCLR(src *sources, totalC float64, totalB []float64, warmup, frames int
 	}
 	drain := func(open []float64) float64 {
 		if src.closedLoop() {
-			r := &res[0]
 			for _, a := range open {
-				arrived, loss, next := src.step(a, w[0], totalC, totalB[0])
-				r.add(arrived, loss, next)
-				w[0] = next
+				src.draw()
+				for j, b := range totalB {
+					arrived, loss, next := src.step(j, a, w[j], totalC, b)
+					res[j].add(arrived, loss, next)
+					w[j] = next
+				}
 			}
-			return w[0]
+			return w[top]
 		}
 		for j := range w {
 			r, wj, b := &res[j], w[j], totalB[j]
@@ -286,7 +339,8 @@ func drainBOP(src *sources, totalC float64, thr []float64, warmup, frames int, s
 		wl := w
 		if src.closedLoop() {
 			for _, a := range open {
-				_, _, wl = src.step(a, wl, totalC, inf)
+				src.draw()
+				_, _, wl = src.step(0, a, wl, totalC, inf)
 				res.add(wl, counts)
 			}
 		} else {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/models"
+	"repro/internal/modelspec"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -124,13 +125,64 @@ func TestClosedLoopReplicationsEngineWorkers(t *testing.T) {
 	}
 }
 
-func TestRunSweepRejectsClosedLoop(t *testing.T) {
-	cfg := Config{Model: aimdModel(t, 0.9), N: 4, C: 510, Frames: 1000, Seed: 1}
-	if _, err := RunSweep(cfg, []float64{0, 10}); err == nil {
-		t.Fatal("RunSweep accepted a closed-loop model; feedback couples arrivals to the buffer")
+// TestClosedLoopSweepMatchesPerBuffer holds the shared-base closed-loop
+// sweep to the per-buffer replications it replaces: at every buffer, in
+// the caller's unsorted order, each replication's Result must equal
+// RunReplicationsEngine's at that buffer bit for bit, at 1 and 2 workers.
+// The nested aimd:aimd: spec keeps its inner controller at rate 1 both
+// ways. c = 480 is below the sources' mean, so every buffer's controllers
+// back off and the buffers' arrivals part.
+func TestClosedLoopSweepMatchesPerBuffer(t *testing.T) {
+	const c, reps = 480, 2
+	msecs := []float64{20, 0, 4}
+	buffers := make([]float64, len(msecs))
+	for j, ms := range msecs {
+		buffers[j] = ms / 1000 / models.Ts * c
 	}
-	if _, err := SweepReplications(cfg, []float64{0, 10}, 2); err == nil {
-		t.Fatal("SweepReplications accepted a closed-loop model")
+	for _, spec := range []string{"aimd:v:1", "aimd:z:0.975", "aimd:dar:0.975:1", "aimd:l", "aimd:aimd:v:0.67"} {
+		m, err := modelspec.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Model: m, N: 3, C: c, Frames: 500, Warmup: 60, Seed: 1996}
+		want := make([][]Result, len(buffers))
+		for j, b := range buffers {
+			one := cfg
+			one.B = b
+			if want[j], err = RunReplicationsEngine(context.Background(), runner.New(1), one, reps); err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+		}
+		if want[0][0].ArrivedCells == want[1][0].ArrivedCells {
+			t.Errorf("%s: 20 ms and 0 ms arrivals agree; the controllers never reacted", spec)
+		}
+		for _, workers := range []int{1, 2} {
+			got, err := SweepReplicationsEngine(context.Background(), runner.New(workers), cfg, buffers, reps)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			for j := range buffers {
+				for r := range got[j] {
+					if got[j][r] != want[j][r] {
+						t.Errorf("%s workers=%d %g ms rep %d: sweep %+v, per-buffer %+v",
+							spec, workers, msecs[j], r, got[j][r], want[j][r])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunSweepRejectsUnsplitClosedLoop: sources that are closed-loop only
+// as generators, with no base/controller split, serve one buffer each, so
+// a sweep over several buffers must fail rather than share their state.
+func TestRunSweepRejectsUnsplitClosedLoop(t *testing.T) {
+	cfg := Config{Model: newRecordingModel(100, 0), N: 4, C: 100, Frames: 100, Seed: 1}
+	if _, err := RunSweep(cfg, []float64{0, 10}); err == nil {
+		t.Fatal("RunSweep shared unsplit closed-loop sources across two buffers")
+	}
+	if _, err := RunSweep(cfg, []float64{10}); err != nil {
+		t.Fatalf("one-buffer sweep of unsplit closed-loop sources: %v", err)
 	}
 }
 

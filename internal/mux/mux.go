@@ -20,9 +20,11 @@
 // single shared Lindley kernel (lindleyStep): drainCLR for finite-buffer
 // CLR (Run is the one-buffer case of RunSweep) and drainBOP for
 // infinite-buffer overflow. Open-loop sources are pulled in 4096-frame
-// chunks; only when a source is closed-loop (traffic.FeedbackGenerator)
-// does the drain add its per-frame draws and deliver the post-frame queue
-// state back to it.
+// chunks; only when a source is closed-loop does the drain add its
+// per-frame draws and deliver the post-frame queue state back to it. A
+// closed-loop model that splits into an open-loop base and controllers
+// (traffic.ClosedLoopModel) has its base drawn once per frame for every
+// buffer of a sweep, each buffer scaling it by its own controllers.
 package mux
 
 import (
@@ -108,7 +110,7 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	src, err := newSources(cfg.Model, cfg.N, cfg.Seed, cfg.Span)
+	src, err := newSources(cfg.Model, cfg.N, cfg.Seed, 1, cfg.Span)
 	if err != nil {
 		return Result{}, err
 	}
@@ -152,9 +154,9 @@ func RunReplications(cfg Config, reps int) ([]Result, error) {
 // configurations, whose feedback dynamics are confined to each
 // replication's own serial drain.
 //
-// This is the replication fan-out for configurations that cannot share a
-// coupled buffer sweep (closed-loop sources, where the queue state feeds
-// back into generation and therefore depends on the buffer size).
+// A closed-loop model's replication i here equals, bit for bit, buffer
+// cfg.B of SweepReplicationsEngine's replication i with the same seed, so
+// a buffer grid of such a model is one sweep, not one batch per buffer.
 func RunReplicationsEngine(ctx context.Context, eng *runner.Engine, cfg Config, reps int) ([]Result, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("mux: reps = %d must be ≥ 1", reps)
@@ -235,28 +237,37 @@ func (c BOPConfig) Validate() error {
 // BOPResult reports tail probabilities of the stationary workload.
 type BOPResult struct {
 	Thresholds []float64
-	Prob       []float64 // P(W > threshold), fraction of measured frames
+	Prob       []float64 // P(W > Thresholds[i]), fraction of measured frames
 	MaxW       float64
 }
 
 // RunBOP simulates the infinite-buffer workload recursion and estimates
 // P(W > x) at each threshold as the fraction of measured frame boundaries
-// whose workload exceeds x. The result lists the thresholds in ascending
-// order.
+// whose workload exceeds x. The result lists the thresholds, and Prob, in
+// the caller's order.
 func RunBOP(cfg BOPConfig) (BOPResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return BOPResult{}, err
 	}
+	// The drain counts against ascending thresholds.
 	thr := append([]float64(nil), cfg.Thresholds...)
 	sort.Float64s(thr)
-	src, err := newSources(cfg.Model, cfg.N, cfg.Seed, cfg.Span)
+	src, err := newSources(cfg.Model, cfg.N, cfg.Seed, 1, cfg.Span)
 	if err != nil {
 		return BOPResult{}, err
 	}
 	defer src.release()
-	var res BOPResult
+	var sorted BOPResult
 	src.measure(cfg.Ctx, func(context.Context) {
-		res = drainBOP(src, float64(cfg.N)*cfg.C, thr, cfg.Warmup, cfg.Frames, cfg.Span)
+		sorted = drainBOP(src, float64(cfg.N)*cfg.C, thr, cfg.Warmup, cfg.Frames, cfg.Span)
 	})
+	res := BOPResult{
+		Thresholds: append([]float64(nil), cfg.Thresholds...),
+		Prob:       make([]float64, len(thr)),
+		MaxW:       sorted.MaxW,
+	}
+	for i, x := range res.Thresholds {
+		res.Prob[i] = sorted.Prob[sort.SearchFloat64s(thr, x)]
+	}
 	return res, nil
 }

@@ -301,27 +301,31 @@ func TestRunBOPMonotoneTail(t *testing.T) {
 	}
 }
 
+// TestRunBOPUnsortedThresholdsHandled holds RunBOP to the caller's
+// threshold order: Thresholds and Prob come back as given, each
+// probability the one an ascending request reports for its threshold.
 func TestRunBOPUnsortedThresholdsHandled(t *testing.T) {
 	m := iidGaussian(t, 500, 5000)
-	res, err := RunBOP(BOPConfig{
-		Model: m, N: 5, C: 510, Frames: 50000, Seed: 9,
-		Thresholds: []float64{500, 0, 100},
-	})
+	cfg := BOPConfig{Model: m, N: 5, C: 510, Frames: 50000, Seed: 9,
+		Thresholds: []float64{500, 0, 100, 0}}
+	res, err := RunBOP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sortedAsc(res.Thresholds) {
-		t.Fatalf("thresholds not sorted: %v", res.Thresholds)
+	cfg.Thresholds = []float64{0, 100, 500}
+	asc, err := RunBOP(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func sortedAsc(xs []float64) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return false
-		}
+	want := BOPResult{
+		Thresholds: []float64{500, 0, 100, 0},
+		Prob:       []float64{asc.Prob[2], asc.Prob[0], asc.Prob[1], asc.Prob[0]},
+		MaxW:       asc.MaxW,
 	}
-	return true
+	checkBOP(t, res, want)
+	if !(asc.Prob[0] > asc.Prob[1] && asc.Prob[1] > asc.Prob[2]) {
+		t.Fatalf("ascending thresholds give %v; want a strictly falling tail", asc.Prob)
+	}
 }
 
 func TestRunBOPAgainstLindleyByHand(t *testing.T) {

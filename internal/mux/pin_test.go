@@ -137,8 +137,8 @@ func TestClosedLoopRunBOPPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBOP(t, got, BOPResult{
-		Thresholds: []float64{0, 100, 300, 1000},
-		Prob:       []float64{0.9986666666666667, 0.9818888888888889, 0.49066666666666664, 0},
+		Thresholds: []float64{300, 0, 100, 1000},
+		Prob:       []float64{0.49066666666666664, 0.9986666666666667, 0.9818888888888889, 0},
 		MaxW:       674.5603056001357,
 	})
 	if h, wantH := m.h.Sum64(), uint64(0xbeee3771aa01c73d); h != wantH {
@@ -160,8 +160,8 @@ func TestOpenLoopRunBOPPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBOP(t, got, BOPResult{
-		Thresholds: []float64{0, 100, 1000},
-		Prob:       []float64{0.058222222222222224, 0.036555555555555556, 0.011111111111111112},
+		Thresholds: []float64{1000, 0, 100},
+		Prob:       []float64{0.011111111111111112, 0.058222222222222224, 0.036555555555555556},
 		MaxW:       4809.877021937442,
 	})
 }

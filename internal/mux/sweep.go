@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 // RunSweep measures the finite-buffer CLR at several buffer sizes in a
@@ -13,6 +14,11 @@ import (
 // recursion per buffer size. This is both much cheaper than independent
 // runs (arrival generation dominates) and statistically sharper, since the
 // buffer curves are positively coupled exactly as in the paper's plots.
+//
+// Closed-loop models (traffic.ClosedLoopModel) share the pass too: their
+// open-loop base path is drawn once, and each buffer size scales it by its
+// own controllers, fed back from its own recursion. Each buffer's results
+// equal a separate Run at that buffer with the same seed, bit for bit.
 //
 // cfg.B is ignored; buffersCells lists per-source buffer allocations b
 // (total buffer N·b each). Results[j] is the run at buffersCells[j], in
@@ -32,20 +38,11 @@ func RunSweep(cfg Config, buffersCells []float64) ([]Result, error) {
 		}
 		totalB[j] = float64(cfg.N) * b
 	}
-	src, err := newSources(cfg.Model, cfg.N, cfg.Seed, cfg.Span)
+	src, err := newSources(cfg.Model, cfg.N, cfg.Seed, len(totalB), cfg.Span)
 	if err != nil {
 		return nil, err
 	}
 	defer src.release()
-	// A coupled sweep shares one arrival sample path across every buffer
-	// size — structurally impossible for closed-loop sources, whose
-	// arrivals depend on the buffer through the feedback tap.
-	if src.closedLoop() {
-		return nil, fmt.Errorf("mux: model %q has closed-loop sources; "+
-			"feedback couples arrivals to the buffer size, so buffers cannot "+
-			"share a sweep — run per-buffer replications (RunReplicationsEngine) instead",
-			cfg.Model.Name())
-	}
 	var results []Result
 	src.measure(cfg.Ctx, func(context.Context) {
 		results = drainCLR(src, float64(cfg.N)*cfg.C, totalB, cfg.Warmup, cfg.Frames, cfg.Span)
@@ -65,13 +62,23 @@ func SweepReplications(cfg Config, buffersCells []float64, reps int) ([][]Result
 // sweepSpec describes the replication batch for the orchestration engine.
 // The fingerprint covers every parameter that affects results so that
 // checkpoint entries from a different configuration are never replayed.
+//
+// A closed-loop sweep draws its replication seeds under the job ID of
+// per-buffer replications ("mux/clr/"), so each of its buffers reproduces
+// RunReplicationsEngine at that buffer. Its checkpoint entries hold one
+// []Result per replication, so its fingerprint differs from both the
+// open-loop sweep's and the per-buffer job's.
 func sweepSpec(cfg Config, buffersCells []float64, reps int) runner.Spec {
+	id, kind := "mux/sweep/", "mux/sweep"
+	if traffic.IsClosedLoopModel(cfg.Model) {
+		id, kind = "mux/clr/", "mux/clr-sweep"
+	}
 	return runner.Spec{
-		ID:         "mux/sweep/" + cfg.Model.Name(),
+		ID:         id + cfg.Model.Name(),
 		Reps:       reps,
 		MasterSeed: cfg.Seed,
-		Fingerprint: fmt.Sprintf("mux/sweep|model=%s|N=%d|c=%g|frames=%d|warmup=%d|buffers=%v",
-			cfg.Model.Name(), cfg.N, cfg.C, cfg.Frames, cfg.Warmup, buffersCells),
+		Fingerprint: fmt.Sprintf("%s|model=%s|N=%d|c=%g|frames=%d|warmup=%d|buffers=%v",
+			kind, cfg.Model.Name(), cfg.N, cfg.C, cfg.Frames, cfg.Warmup, buffersCells),
 	}
 }
 

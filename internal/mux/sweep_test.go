@@ -3,10 +3,13 @@ package mux
 import (
 	"context"
 	"math"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/models"
+	"repro/internal/modelspec"
 	"repro/internal/runner"
 )
 
@@ -190,5 +193,41 @@ func TestSweepCLRConsistent(t *testing.T) {
 		if math.Abs(r.CLR-r.LostCells/r.ArrivedCells) > 1e-15 {
 			t.Fatal("CLR inconsistent with counts")
 		}
+	}
+}
+
+// TestSweepCheckpointGrowsReps grows a closed-loop sweep from 10 to 60
+// replications through one checkpoint; the result must equal a 60-rep
+// sweep made in one go, and the 10 stored replications must not re-run.
+func TestSweepCheckpointGrowsReps(t *testing.T) {
+	m, err := modelspec.Parse("aimd:dar1:0.9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Model: m, N: 3, C: 480, Frames: 200, Warmup: 10, Seed: 5}
+	buffers := []float64{20, 0, 5}
+	ck, err := runner.OpenCheckpoint(filepath.Join(t.TempDir(), "ckpt.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	eng := runner.New(2)
+	eng.SetCheckpoint(ck)
+	if _, err := SweepReplicationsEngine(context.Background(), eng, cfg, buffers, 10); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := SweepReplicationsEngine(context.Background(), eng, cfg, buffers, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Stats().RepsResumed; n != 10 {
+		t.Fatalf("grown sweep resumed %d replications, want 10", n)
+	}
+	whole, err := SweepReplicationsEngine(context.Background(), runner.New(2), cfg, buffers, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(grown, whole) {
+		t.Fatal("sweep grown through a checkpoint differs from one made in one go")
 	}
 }

@@ -54,7 +54,12 @@ type Spec struct {
 	// Fingerprint keys checkpoint entries. It must change whenever any
 	// parameter that affects results changes (model, frames, N, c,
 	// buffers, seed, ...); stale entries would otherwise be replayed into
-	// a different experiment. Empty means "ID + MasterSeed + Reps".
+	// a different experiment. Empty means "ID + MasterSeed".
+	//
+	// Reps is not part of the key: replication i's seed and result do not
+	// depend on how many replications the job has, so a run can grow from
+	// 10 to 60 replications through one checkpoint and re-run only the
+	// new ones. A job function must not read the replication count.
 	Fingerprint string
 }
 
@@ -63,7 +68,7 @@ func (s Spec) fingerprint() string {
 	if fp == "" {
 		fp = s.ID
 	}
-	return fmt.Sprintf("%s|seed=%d|reps=%d", fp, s.MasterSeed, s.Reps)
+	return fmt.Sprintf("%s|seed=%d", fp, s.MasterSeed)
 }
 
 // Rep hands one replication its identity and a progress hook.

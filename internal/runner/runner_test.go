@@ -292,6 +292,43 @@ func TestCheckpointPartialAndTornLine(t *testing.T) {
 	}
 }
 
+// TestCheckpointGrowsReps grows a job from 10 to 60 replications through
+// one checkpoint: the grown run re-runs only the 50 new replications and
+// equals a 60-replication run made in one go.
+func TestCheckpointGrowsReps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	spec := Spec{ID: "grow", Reps: 10, MasterSeed: 11, Fingerprint: "grow-test"}
+	c, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	e := New(2)
+	e.SetCheckpoint(c)
+	if _, err := Run(context.Background(), e, spec, echoJob); err != nil {
+		t.Fatal(err)
+	}
+	spec.Reps = 60
+	var ran atomic.Int64
+	grown, err := Run(context.Background(), e, spec, func(ctx context.Context, r Rep) (int64, error) {
+		ran.Add(1)
+		return echoJob(ctx, r)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ran.Load(); n != 50 {
+		t.Fatalf("grown run ran %d replications, want the 50 new ones", n)
+	}
+	whole, err := Run(context.Background(), New(2), spec, echoJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(grown, whole) {
+		t.Fatal("run grown through a checkpoint differs from one made in one go")
+	}
+}
+
 func TestStatsCountersAndETA(t *testing.T) {
 	e := New(2)
 	if _, err := Run(context.Background(), e, Spec{ID: "stats", Reps: 6, MasterSeed: 2},

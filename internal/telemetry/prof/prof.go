@@ -42,9 +42,9 @@ const (
 	// KeyFigure is the experiment/figure id (fig8, extloop, ...), set by
 	// the CLI driver loop.
 	KeyFigure = "figure"
-	// KeySweepPoint identifies the point within a figure's sweep — a
-	// buffer size for per-point closed-loop runs, "coupled" for sweeps
-	// whose single pass covers the whole grid.
+	// KeySweepPoint identifies the point within a figure's sweep —
+	// "coupled" for sweeps whose single pass covers the whole grid, open-
+	// and closed-loop alike.
 	KeySweepPoint = "sweep_point"
 	// KeyModel is the traffic model name (V, Z, S, L, aimd:..., ...).
 	KeyModel = "model"

@@ -57,26 +57,52 @@ func (f Feedback) Occupancy() float64 {
 // A FeedbackGenerator should NOT also implement BlockGenerator: frames
 // must be drawn one at a time so each one can react to the latest
 // feedback. The multiplexer ignores a Fill method on closed-loop sources.
+//
+// A model that only manufactures FeedbackGenerators has sources whose
+// whole state depends on the one queue they feed, so each replication
+// serves a single buffer. A model that splits into an open-loop base and
+// per-buffer controllers (ClosedLoopModel) lets one base path drive a
+// whole buffer sweep.
 type FeedbackGenerator interface {
 	Generator
 	// Observe delivers the multiplexer state after one served frame.
 	Observe(fb Feedback)
 }
 
-// IsClosedLoop reports whether g adapts to multiplexer feedback, and so
-// must be drawn and fed back one frame at a time.
-func IsClosedLoop(g Generator) bool {
-	_, ok := g.(FeedbackGenerator)
-	return ok
+// Controller is the feedback state of one closed-loop source at one
+// buffer: the factor by which it scales its open-loop base frame, adapted
+// after every served frame. Like a FeedbackGenerator it must be a
+// deterministic function of the feedback sequence it observes.
+type Controller interface {
+	// Rate returns the factor applied to the source's next base frame.
+	Rate() float64
+	// Observe delivers the multiplexer state after one served frame.
+	Observe(fb Feedback)
 }
 
-// IsClosedLoopModel reports whether m manufactures closed-loop sources,
-// by probing one throwaway generator. Callers that plan a coupled buffer
-// sweep use this to fall back to per-buffer runs instead.
+// ClosedLoopModel is a Model whose sources emit an open-loop base frame
+// scaled by a feedback-driven rate: source i's frame is
+// Base().NewGenerator(seed_i)'s draw times its controller's Rate(). The
+// base stream is consumed at one draw per frame whatever the rate, so it
+// does not depend on the feedback. The multiplexer therefore draws it once
+// per replication and drives one controller per source per buffer size
+// from it, which makes a buffer sweep cost one base path, not one per
+// buffer.
+//
+// NewGenerator(seed) must stay the one-buffer form of the same source: its
+// frames equal the base draw times the rate of a controller fed the same
+// feedback, bit for bit.
+type ClosedLoopModel interface {
+	Model
+	// Base returns the open-loop model whose frames the controllers scale.
+	Base() Model
+	// NewController returns a fresh controller in its initial state.
+	NewController() Controller
+}
+
+// IsClosedLoopModel reports whether m splits into an open-loop base and
+// per-buffer controllers (ClosedLoopModel).
 func IsClosedLoopModel(m Model) bool {
-	if m == nil {
-		return false
-	}
-	//lint:seedflow throwaway probe generator: only its dynamic type is inspected, it never emits a frame
-	return IsClosedLoop(m.NewGenerator(0))
+	_, ok := m.(ClosedLoopModel)
+	return ok
 }

@@ -39,15 +39,11 @@ func (m fbStubModel) Variance() float64            { return 0 }
 func (m fbStubModel) ACF(k int) float64            { return 0 }
 func (m fbStubModel) NewGenerator(int64) Generator { return m.gen }
 
-func TestIsClosedLoop(t *testing.T) {
-	open := GeneratorFunc(func() float64 { return 1 })
-	if IsClosedLoop(open) {
-		t.Fatal("plain generator reported closed-loop")
-	}
-	if !IsClosedLoop(&stubFeedbackGen{}) {
-		t.Fatal("feedback generator not reported closed-loop")
-	}
-}
+// splitStubModel is a closed-loop model in base/controller form.
+type splitStubModel struct{ fbStubModel }
+
+func (m splitStubModel) Base() Model               { return m.fbStubModel }
+func (m splitStubModel) NewController() Controller { return nil }
 
 func TestIsClosedLoopModel(t *testing.T) {
 	if IsClosedLoopModel(nil) {
@@ -56,7 +52,12 @@ func TestIsClosedLoopModel(t *testing.T) {
 	if IsClosedLoopModel(fbStubModel{gen: GeneratorFunc(func() float64 { return 1 })}) {
 		t.Fatal("open-loop model reported closed-loop")
 	}
-	if !IsClosedLoopModel(fbStubModel{gen: &stubFeedbackGen{}}) {
+	// Closed-loop generators alone do not make a closed-loop model: it
+	// must split into a base and controllers to share a buffer sweep.
+	if IsClosedLoopModel(fbStubModel{gen: &stubFeedbackGen{}}) {
+		t.Fatal("model without a base/controller split reported closed-loop")
+	}
+	if !IsClosedLoopModel(splitStubModel{fbStubModel{gen: &stubFeedbackGen{}}}) {
 		t.Fatal("closed-loop model not detected")
 	}
 }

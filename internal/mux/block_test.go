@@ -8,9 +8,10 @@ import (
 	"repro/internal/traffic"
 )
 
-// goldenModels builds the paper's four source families for the
+// goldenModels builds the paper's source families for the
 // block/scalar equivalence tests: V^1 (intra-frame), Z^0.975 (composite
-// LRD), S = DAR(2) fit of Z, and L (long-term only).
+// LRD), S = DAR(2) fit of Z, L (long-term only), and the DAR(1) fit of Z
+// that Fig 10 simulates.
 func goldenModels(t *testing.T) []traffic.Model {
 	t.Helper()
 	v, err := models.NewV(1)
@@ -29,7 +30,11 @@ func goldenModels(t *testing.T) []traffic.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []traffic.Model{v, z, s, l}
+	d1, err := models.FitS(z, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []traffic.Model{v, z, s, l, d1}
 }
 
 // TestRunBlockScalarGolden drives the same seed through the native block

@@ -181,6 +181,28 @@ func BenchmarkGenDAR3(b *testing.B) {
 	benchGenerator(b, s)
 }
 
+// BenchmarkGenDAR1Fill measures Fig 10's source alone, with no drain: the
+// DAR(1) fit to Z^0.975 filling 4096-frame blocks through traffic.Blocks,
+// as the multiplexer pulls it.
+func BenchmarkGenDAR1Fill(b *testing.B) {
+	z, err := models.NewZ(0.975)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := models.FitS(z, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := traffic.Blocks(s.NewGenerator(1))
+	dst := make([]float64, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Fill(dst)
+	}
+	b.ReportMetric(float64(len(dst))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+}
+
 func BenchmarkGenFGN(b *testing.B) {
 	f, err := fgn.NewModel(0.9, 500, 5000)
 	if err != nil {

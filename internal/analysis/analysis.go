@@ -25,8 +25,8 @@
 //   - proflabels:  runtime/pprof's goroutine-label API called only in
 //     internal/telemetry/prof, and literal label keys drawn only from
 //     the fixed set figure/sweep_point/model/path/lane.
-//   - seedflow:    every seed handed to randx.NewRand or a generator
-//     constructor is data-flow-reachable from internal/seed, a
+//   - seedflow:    every seed handed to randx.NewRand, randx.NewStream or
+//     a generator constructor is data-flow-reachable from internal/seed, a
 //     caller-supplied parameter, a Seed config field or a flag — an
 //     untracked entropy source silently breaks replay determinism.
 //

@@ -6,7 +6,7 @@ import (
 
 // randxPath is the only package allowed to construct RNGs or call the
 // global rand functions; every stochastic path derives a child seed with
-// internal/seed and hands it to randx.NewRand.
+// internal/seed and hands it to randx.NewRand or randx.NewStream.
 const randxPath = "internal/randx"
 
 // RNGSource enforces the single-construction-point rule for randomness.
@@ -15,7 +15,7 @@ const randxPath = "internal/randx"
 // outside internal/randx bypasses the splitmix64 seeding discipline and
 // makes replications depend on process-global state. Methods on a
 // *rand.Rand value are fine: the value itself was necessarily built by
-// randx.NewRand from a derived seed.
+// randx.NewRand or a randx.Stream's Rand view from a derived seed.
 var RNGSource = &Analyzer{
 	Name: "rngsource",
 	Doc: "flags math/rand package-level calls (construction and global draws) " +
@@ -40,11 +40,11 @@ func runRNGSource(pass *Pass) error {
 			switch name {
 			case "New", "NewSource", "NewPCG", "NewChaCha8", "NewZipf":
 				pass.Reportf(call.Pos(),
-					"rand.%s constructs an RNG outside %s; derive a seed with internal/seed and call randx.NewRand",
+					"rand.%s constructs an RNG outside %s; derive a seed with internal/seed and call randx.NewRand or randx.NewStream",
 					name, randxPath)
 			default:
 				pass.Reportf(call.Pos(),
-					"rand.%s draws from the global RNG; replications must draw only from a *rand.Rand built by randx.NewRand",
+					"rand.%s draws from the global RNG; replications must draw only from an RNG built by randx.NewRand or randx.NewStream",
 					name)
 			}
 			return true

@@ -7,3 +7,12 @@ import "math/rand"
 func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
+
+// Stream stands in for randx.Stream.
+type Stream struct{ r *rand.Rand }
+
+func NewStream(seed int64) *Stream {
+	return &Stream{rand.New(rand.NewSource(seed))}
+}
+
+func (s *Stream) Int63() int64 { return s.r.Int63() }

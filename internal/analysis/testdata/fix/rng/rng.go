@@ -6,7 +6,7 @@ package rng
 import "math/rand"
 
 func Build(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed)) // want "rand.New constructs an RNG" "rand.NewSource constructs an RNG"
+	return rand.New(rand.NewSource(seed)) // want "rand.New constructs an RNG outside internal/randx; derive a seed with internal/seed and call randx.NewRand or randx.NewStream" "rand.NewSource constructs an RNG"
 }
 
 func Global() int {

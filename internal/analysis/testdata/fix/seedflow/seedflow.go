@@ -47,6 +47,14 @@ func FromChildren(cfg Config) {
 	}
 }
 
+// StreamFromDerive is clean: NewStream is a sink like NewRand, and its
+// draws stay derived.
+func StreamFromDerive(cfg Config) {
+	st := randx.NewStream(seed.Derive(cfg.Seed, 5))
+	var m Model
+	m.NewGenerator(st.Int63())
+}
+
 // ThroughHelperOK is clean: the derivation hides inside a cross-package
 // helper whose body the analyzer resolves through the loader.
 func ThroughHelperOK(cfg Config) {
@@ -67,6 +75,11 @@ func ThroughLocalHelperOK(cfg Config) {
 // Hardcoded is the canonical violation: a constant seed.
 func Hardcoded() {
 	randx.NewRand(1996) // want "constant 1996"
+}
+
+// StreamHardcoded seeds the concrete stream from a constant.
+func StreamHardcoded() {
+	randx.NewStream(1996) // want "seed argument to randx.NewStream is not data-flow-reachable from internal/seed: constant 1996"
 }
 
 // HardcodedVar launders the constant through a local variable; the flow

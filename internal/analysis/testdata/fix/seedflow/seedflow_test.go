@@ -9,6 +9,7 @@ import (
 
 func TestConstantSeedAllowed(t *testing.T) {
 	r := randx.NewRand(42)
+	_ = randx.NewStream(42)
 	var m Model
 	m.NewGenerator(1)
 	_ = r

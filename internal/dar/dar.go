@@ -251,9 +251,13 @@ func (p *Process) solveACFBase() []float64 {
 	return base
 }
 
-// generator is the sample-path state of a DAR(p) source.
+// generator is the sample-path state of a DAR(p) source. It draws the
+// ρ test and the lag pick from the concrete stream and hands rng, a
+// rand.Rand view of the same stream, to the marginal's sampler, so every
+// draw advances one sequence in the order of the model's definition.
 type generator struct {
 	p    *Process
+	src  *randx.Stream
 	rng  *rand.Rand
 	hist []float64 // last p values, most recent at hist[0]
 }
@@ -263,20 +267,21 @@ type generator struct {
 // warm-up is required for first-order statistics, and second-order
 // transients decay geometrically.
 func (p *Process) NewGenerator(seed int64) traffic.Generator {
-	rng := randx.NewRand(seed)
+	src := randx.NewStream(seed)
+	rng := src.Rand()
 	hist := make([]float64, len(p.a))
 	for i := range hist {
 		hist[i] = p.marginal.Sample(rng)
 	}
-	return &generator{p: p, rng: rng, hist: hist}
+	return &generator{p: p, src: src, rng: rng, hist: hist}
 }
 
 // frame advances the chain one step.
 func (g *generator) frame() float64 {
 	var next float64
-	if g.rng.Float64() < g.p.rho {
+	if g.src.Float64() < g.p.rho {
 		// Repeat the value from lag A_n, where P(A_n = i) = a_i.
-		u := g.rng.Float64()
+		u := g.src.Float64()
 		idx := len(g.p.cumA) - 1
 		for i, c := range g.p.cumA {
 			if u <= c {
@@ -301,9 +306,30 @@ func (g *generator) NextFrame() float64 { return g.frame() }
 // repeated NextFrame calls (bit-identical paths), amortising the two
 // interface dispatches per frame over a whole chunk.
 func (g *generator) Fill(dst []float64) {
+	if len(g.hist) == 1 {
+		g.fill1(dst)
+		return
+	}
 	for i := range dst {
 		dst[i] = g.frame()
 	}
+}
+
+// fill1 is Fill at p = 1, where a repeat always takes lag 1: one loop
+// over locals with no history shift and no lag scan. A repeat still
+// draws the lag uniform and discards it, keeping frame's draw order.
+func (g *generator) fill1(dst []float64) {
+	src, rng, rho, sample := g.src, g.rng, g.p.rho, g.p.marginal.Sample
+	prev := g.hist[0]
+	for i := range dst {
+		if src.Float64() < rho {
+			src.Float64()
+		} else {
+			prev = sample(rng)
+		}
+		dst[i] = prev
+	}
+	g.hist[0] = prev
 }
 
 // MaxOrder is the largest DAR order Fit accepts. The paper fits p ≤ 3

@@ -2,7 +2,8 @@
 // traffic substrates share: Poisson (Knuth product method and Hörmann's
 // PTRS transformed rejection) and Gamma (Marsaglia-Tsang), plus the
 // negative binomial built from their mixture. math/rand supplies only
-// uniform, normal and exponential variates; everything else is here.
+// uniform, normal and exponential variates; everything else is here, along
+// with Stream, a concrete copy of math/rand's uniform source for hot loops.
 package randx
 
 import (
@@ -11,14 +12,16 @@ import (
 )
 
 // NewRand is the single RNG construction point for every stochastic path
-// in the repository: callers derive a child seed with package seed's
-// splitmix64 helpers (seed.Derive / seed.Children / seed.DeriveString) and
-// hand it here. Centralising construction keeps the seeding discipline —
-// hash-derived, index-addressed seeds feeding rand.NewSource — uniform
-// across all traffic substrates, so no package can quietly fall back to
-// additive or global-state seeding.
+// in the repository, together with NewStream, which it wraps: callers
+// derive a child seed with package seed's splitmix64 helpers (seed.Derive /
+// seed.Children / seed.DeriveString) and hand it here. Centralising
+// construction keeps the seeding discipline — hash-derived, index-addressed
+// seeds feeding math/rand's seeding — uniform across all traffic
+// substrates, so no package can quietly fall back to additive or
+// global-state seeding, and every generator runs on one source
+// implementation, Stream.
 func NewRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	return NewStream(seed).Rand()
 }
 
 // Poisson draws from a Poisson distribution with the given mean. Means up
@@ -117,12 +120,12 @@ func NegativeBinomial(r *rand.Rand, mean, variance float64) int64 {
 	if mean <= 0 || variance <= mean {
 		return 0
 	}
+	// Match moments with Λ ~ Gamma(shape k, scale θ):
+	//   E[N] = E[Λ] = kθ = mean,
+	//   Var[N] = E[Λ] + Var[Λ] = mean + kθ² = variance,
+	// so θ = (variance−mean)/mean and k = mean/θ = mean²/(variance−mean).
+	scale := (variance - mean) / mean
 	shape := mean * mean / (variance - mean)
-	scale := (variance - mean) / mean // = mean/shape · (var-mean)/mean ... = θ with mean=shape·θ·?
-	// Mixture: Poisson rate Λ ~ Gamma(shape, scale·?) chosen so
-	// E[N] = E[Λ] = shape·scaleΛ = mean and
-	// Var[N] = E[Λ] + Var[Λ] = mean + shape·scaleΛ² = variance.
-	// From the two: scaleΛ = (variance−mean)/mean, shape = mean/scaleΛ.
 	lambda := Gamma(r, shape, scale)
 	return Poisson(r, lambda)
 }

@@ -124,15 +124,18 @@ func BenchmarkFig10Asymptotics(b *testing.B) {
 
 // --- Ablation benchmarks -------------------------------------------------
 
-// Generator throughput per model family (frames/op).
+// Generator throughput per model family: 4096-frame blocks pulled through
+// traffic.Blocks, as the multiplexer pulls them, reported in frames/s.
 func benchGenerator(b *testing.B, m traffic.Model) {
 	b.Helper()
-	g := m.NewGenerator(1)
+	g := traffic.Blocks(m.NewGenerator(1))
+	dst := make([]float64, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.NextFrame()
+		g.Fill(dst)
 	}
+	b.ReportMetric(float64(len(dst))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
 func BenchmarkGenZ(b *testing.B) {
@@ -169,39 +172,24 @@ func BenchmarkGenL(b *testing.B) {
 	benchGenerator(b, l)
 }
 
-func BenchmarkGenDAR3(b *testing.B) {
+// benchDARFit measures the DAR(p) fit to Z^0.975: p = 1 is Fig 10's
+// source, where a run is the held value written K times; p = 3 draws a
+// lag per repeat.
+func benchDARFit(b *testing.B, p int) {
 	z, err := models.NewZ(0.975)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := models.FitS(z, 3)
+	s, err := models.FitS(z, p)
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchGenerator(b, s)
 }
 
-// BenchmarkGenDAR1Fill measures Fig 10's source alone, with no drain: the
-// DAR(1) fit to Z^0.975 filling 4096-frame blocks through traffic.Blocks,
-// as the multiplexer pulls it.
-func BenchmarkGenDAR1Fill(b *testing.B) {
-	z, err := models.NewZ(0.975)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := models.FitS(z, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := traffic.Blocks(s.NewGenerator(1))
-	dst := make([]float64, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Fill(dst)
-	}
-	b.ReportMetric(float64(len(dst))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-}
+func BenchmarkGenDAR1(b *testing.B) { benchDARFit(b, 1) }
+
+func BenchmarkGenDAR3(b *testing.B) { benchDARFit(b, 3) }
 
 func BenchmarkGenFGN(b *testing.B) {
 	f, err := fgn.NewModel(0.9, 500, 5000)

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -39,6 +40,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	ds, err := parseDelays(*delays)
+	if err != nil {
+		fatal(err)
+	}
 
 	fmt.Printf("link %.0f cells/s, CLR target %g, estimator %s\n\n",
 		*capacity, *clr, est)
@@ -47,11 +52,7 @@ func main() {
 		fmt.Printf(" %16s", m.Name())
 	}
 	fmt.Println()
-	for _, f := range strings.Split(*delays, ",") {
-		d, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || d < 0 {
-			fatal(fmt.Errorf("bad delay %q", f))
-		}
+	for _, d := range ds {
 		link := cac.LinkMs(*capacity, models.Ts, d)
 		fmt.Printf("%-12.1f", d)
 		for _, m := range ms {
@@ -76,6 +77,21 @@ func main() {
 		fmt.Printf("  %-16s %.1f (mean %.0f, headroom %.1f%%)\n",
 			m.Name(), c, m.Mean(), (c/m.Mean()-1)*100)
 	}
+}
+
+// parseDelays parses the -delays list of delay bounds in msec. Each must
+// be a finite number ≥ 0: a NaN bound would size a NaN buffer and admit
+// zero connections without complaint.
+func parseDelays(list string) ([]float64, error) {
+	var ds []float64
+	for _, f := range strings.Split(list, ",") {
+		d, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil || !(d >= 0) || math.IsInf(d, 1) {
+			return nil, fmt.Errorf("bad delay %q: want a finite number of msec ≥ 0", f)
+		}
+		ds = append(ds, d)
+	}
+	return ds, nil
 }
 
 func fatal(err error) {

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/modelspec"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -38,9 +38,12 @@ func main() {
 		name      string
 	)
 	if *tracePath != "" {
-		xs, err := readTrace(*tracePath)
+		xs, err := traffic.ReadTrace(*tracePath)
 		if err != nil {
 			fatal(err)
+		}
+		if len(xs) < 100 {
+			fatal(fmt.Errorf("trace too short (%d frames; need ≥ 100)", len(xs)))
 		}
 		acf := stats.ACF(xs, *lags+16)
 		targetACF = func(k int) float64 { return acf[k] }
@@ -93,34 +96,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-func readTrace(path string) ([]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var xs []float64
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad trace line %q: %w", line, err)
-		}
-		xs = append(xs, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(xs) < 100 {
-		return nil, fmt.Errorf("trace too short (%d frames; need ≥ 100)", len(xs))
-	}
-	return xs, nil
 }
 
 func fatal(err error) {

@@ -11,12 +11,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/hurst"
 	"repro/internal/modelspec"
@@ -39,7 +36,7 @@ func main() {
 	var label string
 	if *tracePath != "" {
 		var err error
-		xs, err = readTrace(*tracePath)
+		xs, err = traffic.ReadTrace(*tracePath)
 		if err != nil {
 			fatal(err)
 		}
@@ -77,28 +74,6 @@ func report(name string, h float64, err error) {
 		return
 	}
 	fmt.Printf("%-20s H = %.3f\n", name, h)
-}
-
-func readTrace(path string) ([]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var xs []float64
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad trace line %q: %w", line, err)
-		}
-		xs = append(xs, v)
-	}
-	return xs, sc.Err()
 }
 
 func fatal(err error) {

@@ -15,6 +15,12 @@
 // a, which is what lets the paper hold first-order statistics fixed while
 // sweeping correlation structure.
 //
+// Generators draw the path run by run rather than frame by frame: the
+// repeats between two innovations are Geometric(1−ρ), so one uniform per
+// run replaces the Bernoulli(ρ) test of every frame. At p = 1 a run is
+// the held value written K times; at p > 1 each repeat still draws its
+// lag A_n.
+//
 // The package also provides the fitting procedure used for the paper's
 // model S: given the first p autocorrelations of a target process, solve
 // the (linear) Yule-Walker system for ρ and a_1..a_p so the DAR(p) matches
@@ -62,6 +68,7 @@ type Process struct {
 	rho      float64
 	a        []float64 // selection probabilities, length p, sum 1
 	cumA     []float64 // cumulative sums of a for inverse sampling
+	runPow   []float64 // ρ^1 … ρ^n, n ≤ runCap: P(run ≥ k) = ρ^k
 	marginal Marginal
 	name     string
 
@@ -71,10 +78,11 @@ type Process struct {
 }
 
 // New constructs a DAR(p) process. rho must lie in [0, 1); a must be a
-// probability vector (non-negative, summing to 1 within tolerance) of
-// length p ≥ 1.
+// probability vector (finite, non-negative, summing to 1 within
+// tolerance) of length p ≥ 1; the marginal needs a sampler, a finite
+// mean and a finite non-negative variance.
 func New(rho float64, a []float64, marginal Marginal) (*Process, error) {
-	if rho < 0 || rho >= 1 {
+	if !(rho >= 0 && rho < 1) {
 		return nil, fmt.Errorf("dar: rho %v outside [0, 1)", rho)
 	}
 	if len(a) == 0 {
@@ -82,16 +90,22 @@ func New(rho float64, a []float64, marginal Marginal) (*Process, error) {
 	}
 	var sum float64
 	for i, ai := range a {
-		if ai < -1e-12 {
-			return nil, fmt.Errorf("dar: negative selection probability a[%d] = %v", i+1, ai)
+		if !(ai >= -1e-12) {
+			return nil, fmt.Errorf("dar: selection probability a[%d] = %v negative or NaN", i+1, ai)
 		}
 		sum += ai
 	}
-	if math.Abs(sum-1) > 1e-9 {
+	if !(math.Abs(sum-1) <= 1e-9) {
 		return nil, fmt.Errorf("dar: selection probabilities sum to %v, want 1", sum)
 	}
 	if marginal.Sample == nil {
 		return nil, errors.New("dar: marginal has no sampler")
+	}
+	if math.IsNaN(marginal.Mean) || math.IsInf(marginal.Mean, 0) {
+		return nil, fmt.Errorf("dar: marginal mean %v not finite", marginal.Mean)
+	}
+	if !(marginal.Variance >= 0) || math.IsInf(marginal.Variance, 1) {
+		return nil, fmt.Errorf("dar: marginal variance %v not finite and non-negative", marginal.Variance)
 	}
 	p := &Process{
 		rho:      rho,
@@ -106,7 +120,27 @@ func New(rho float64, a []float64, marginal Marginal) (*Process, error) {
 		p.cumA[i] = c
 	}
 	p.cumA[len(p.cumA)-1] = 1 // guard against rounding in inverse sampling
+	for pw := rho; pw > 0 && len(p.runPow) < runCap; pw *= rho {
+		p.runPow = append(p.runPow, pw)
+	}
 	return p, nil
+}
+
+// runCap bounds the ρ^k table. A run longer than runCap repeats is drawn
+// runCap at a time, so a ρ near 1 costs one uniform per runCap frames and
+// no memory.
+const runCap = 64
+
+// runLength maps a uniform u to the repeats before the next innovation,
+// K = #{k ≥ 1 : u < ρ^k}, so P(K ≥ k) = ρ^k: Geometric(1−ρ) on
+// {0, 1, …}. When u falls below ρ^runCap it returns runCap with more
+// set; the run's remainder is then a fresh draw of the same law, which
+// is exact because the geometric law is memoryless.
+func (p *Process) runLength(u float64) (k int, more bool) {
+	for k < len(p.runPow) && u < p.runPow[k] {
+		k++
+	}
+	return k, k == runCap
 }
 
 // NewDAR1 constructs the first-order special case whose lag-k
@@ -129,6 +163,11 @@ func (p *Process) Name() string { return p.name }
 
 // SetName overrides the display name (e.g. "DAR(2) fit to Z^0.975").
 func (p *Process) SetName(name string) { p.name = name }
+
+// DrawVersion implements traffic.DrawVersioned. Version 2 draws one
+// geometric run length per innovation; version 1 drew a Bernoulli(ρ)
+// test, and on a repeat a lag, every frame.
+func (p *Process) DrawVersion() string { return "dar.2" }
 
 // Mean implements traffic.Model.
 func (p *Process) Mean() float64 { return p.marginal.Mean }
@@ -251,15 +290,23 @@ func (p *Process) solveACFBase() []float64 {
 	return base
 }
 
-// generator is the sample-path state of a DAR(p) source. It draws the
-// ρ test and the lag pick from the concrete stream and hands rng, a
+// generator is the sample-path state of a DAR(p) source. It draws run
+// lengths and lag picks from the concrete stream and hands rng, a
 // rand.Rand view of the same stream, to the marginal's sampler, so every
-// draw advances one sequence in the order of the model's definition.
+// draw advances one sequence.
+//
+// The path is a sequence of runs: after each innovation the chain repeats
+// history K times, K ~ Geometric(1−ρ) on {0, 1, …}, and then innovates
+// again. One uniform per run draws K (Process.runLength); the per-frame
+// Bernoulli(ρ) test of the definition has the same law.
 type generator struct {
 	p    *Process
 	src  *randx.Stream
 	rng  *rand.Rand
-	hist []float64 // last p values, most recent at hist[0]
+	ring []float64 // last p values; ring[head] is the most recent, lag i sits i−1 slots on
+	head int
+	owed int  // repeats still owed before the run's next draw
+	more bool // the run outlasted the ρ^k table: redraw after owed, not innovate
 }
 
 // NewGenerator implements traffic.Model. The chain starts from p i.i.d.
@@ -269,67 +316,87 @@ type generator struct {
 func (p *Process) NewGenerator(seed int64) traffic.Generator {
 	src := randx.NewStream(seed)
 	rng := src.Rand()
-	hist := make([]float64, len(p.a))
-	for i := range hist {
-		hist[i] = p.marginal.Sample(rng)
+	ring := make([]float64, len(p.a))
+	for i := range ring {
+		ring[i] = p.marginal.Sample(rng)
 	}
-	return &generator{p: p, src: src, rng: rng, hist: hist}
+	g := &generator{p: p, src: src, rng: rng, ring: ring}
+	g.owed, g.more = p.runLength(src.Float64())
+	return g
 }
 
-// frame advances the chain one step.
-func (g *generator) frame() float64 {
-	var next float64
-	if g.src.Float64() < g.p.rho {
-		// Repeat the value from lag A_n, where P(A_n = i) = a_i.
+// NextFrame implements traffic.Generator as a one-frame Fill.
+func (g *generator) NextFrame() float64 {
+	var v [1]float64
+	g.Fill(v[:])
+	return v[0]
+}
+
+// Fill implements traffic.BlockGenerator. Each pass writes the repeats
+// the current run still owes, then either innovates and draws the next
+// run's length or, past the table, draws the rest of the run. The draws
+// depend on the frame sequence alone, so any split into Fill calls, or
+// NextFrame calls, yields the same path bit for bit.
+func (g *generator) Fill(dst []float64) {
+	for i := 0; i < len(dst); {
+		if g.owed == 0 {
+			if !g.more {
+				v := g.p.marginal.Sample(g.rng)
+				g.push(v)
+				dst[i] = v
+				i++
+			}
+			g.owed, g.more = g.p.runLength(g.src.Float64())
+			continue
+		}
+		n := min(g.owed, len(dst)-i)
+		g.owed -= n
+		g.repeat(dst[i : i+n])
+		i += n
+	}
+}
+
+// repeat writes len(dst) repeats. At p = 1 every repeat is the held
+// value; at p > 1 each frame draws its lag A, P(A = i) = a_i, reads it
+// from the ring and becomes the most recent value.
+func (g *generator) repeat(dst []float64) {
+	ring := g.ring
+	if len(ring) == 1 {
+		v := ring[0]
+		for i := range dst {
+			dst[i] = v
+		}
+		return
+	}
+	cumA, head := g.p.cumA, g.head
+	for i := range dst {
 		u := g.src.Float64()
-		idx := len(g.p.cumA) - 1
-		for i, c := range g.p.cumA {
+		j := len(cumA) - 1
+		for k, c := range cumA {
 			if u <= c {
-				idx = i
+				j = k
 				break
 			}
 		}
-		next = g.hist[idx]
-	} else {
-		next = g.p.marginal.Sample(g.rng)
-	}
-	// Shift history: hist[0] is S_{n-1} for the next step.
-	copy(g.hist[1:], g.hist)
-	g.hist[0] = next
-	return next
-}
-
-// NextFrame implements traffic.Generator.
-func (g *generator) NextFrame() float64 { return g.frame() }
-
-// Fill implements traffic.BlockGenerator with the same draw order as
-// repeated NextFrame calls (bit-identical paths), amortising the two
-// interface dispatches per frame over a whole chunk.
-func (g *generator) Fill(dst []float64) {
-	if len(g.hist) == 1 {
-		g.fill1(dst)
-		return
-	}
-	for i := range dst {
-		dst[i] = g.frame()
-	}
-}
-
-// fill1 is Fill at p = 1, where a repeat always takes lag 1: one loop
-// over locals with no history shift and no lag scan. A repeat still
-// draws the lag uniform and discards it, keeping frame's draw order.
-func (g *generator) fill1(dst []float64) {
-	src, rng, rho, sample := g.src, g.rng, g.p.rho, g.p.marginal.Sample
-	prev := g.hist[0]
-	for i := range dst {
-		if src.Float64() < rho {
-			src.Float64()
-		} else {
-			prev = sample(rng)
+		if j += head; j >= len(ring) {
+			j -= len(ring)
 		}
-		dst[i] = prev
+		v := ring[j]
+		if head--; head < 0 {
+			head = len(ring) - 1
+		}
+		ring[head] = v
+		dst[i] = v
 	}
-	g.hist[0] = prev
+	g.head = head
+}
+
+// push makes v the most recent value, dropping the one at lag p.
+func (g *generator) push(v float64) {
+	if g.head--; g.head < 0 {
+		g.head = len(g.ring) - 1
+	}
+	g.ring[g.head] = v
 }
 
 // MaxOrder is the largest DAR order Fit accepts. The paper fits p ≤ 3

@@ -14,24 +14,38 @@ import (
 func gauss() Marginal { return GaussianMarginal(500, 5000) }
 
 func TestNewValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
 		rho  float64
 		a    []float64
+		m    Marginal
 	}{
-		{"negative rho", -0.1, []float64{1}},
-		{"rho one", 1, []float64{1}},
-		{"empty a", 0.5, nil},
-		{"negative a", 0.5, []float64{1.5, -0.5}},
-		{"a not normalised", 0.5, []float64{0.5, 0.2}},
+		{"negative rho", -0.1, []float64{1}, gauss()},
+		{"rho one", 1, []float64{1}, gauss()},
+		{"NaN rho", nan, []float64{1}, gauss()},
+		{"empty a", 0.5, nil, gauss()},
+		{"negative a", 0.5, []float64{1.5, -0.5}, gauss()},
+		{"a not normalised", 0.5, []float64{0.5, 0.2}, gauss()},
+		{"NaN a", 0.5, []float64{nan}, gauss()},
+		{"NaN in a", 0.5, []float64{0.5, nan}, gauss()},
+		{"infinite a", 0.5, []float64{inf, -inf}, gauss()},
+		{"nil sampler", 0.5, []float64{1}, Marginal{Mean: 0, Variance: 1}},
+		{"negative variance", 0.5, []float64{1}, GaussianMarginal(500, -1)},
+		{"NaN variance", 0.5, []float64{1}, GaussianMarginal(500, nan)},
+		{"infinite variance", 0.5, []float64{1}, GaussianMarginal(500, inf)},
+		{"NaN mean", 0.5, []float64{1}, GaussianMarginal(nan, 1)},
+		{"infinite mean", 0.5, []float64{1}, GaussianMarginal(-inf, 1)},
 	}
 	for _, c := range cases {
-		if _, err := New(c.rho, c.a, gauss()); err == nil {
+		if _, err := New(c.rho, c.a, c.m); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
-	if _, err := New(0.5, []float64{1}, Marginal{Mean: 0, Variance: 1}); err == nil {
-		t.Error("nil sampler: expected error")
+	for _, m := range []Marginal{GaussianMarginal(0, 0), gauss()} {
+		if _, err := New(0, []float64{0, 1}, m); err != nil {
+			t.Errorf("ρ = 0, a = {0, 1}, variance %v: %v", m.Variance, err)
+		}
 	}
 }
 
@@ -336,11 +350,13 @@ func BenchmarkGeneratorDAR3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := p.NewGenerator(1)
+	g := p.NewGenerator(1).(traffic.BlockGenerator)
+	dst := make([]float64, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.NextFrame()
+		g.Fill(dst)
 	}
+	b.ReportMetric(float64(len(dst))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
 func BenchmarkACFLag1000(b *testing.B) {

@@ -170,6 +170,9 @@ func NewModel(p Params) (*Model, error) {
 // Name implements traffic.Model.
 func (m *Model) Name() string { return m.name }
 
+// DrawVersion implements traffic.DrawVersioned.
+func (m *Model) DrawVersion() string { return "fbndp.1" }
+
 // SetName overrides the display name.
 func (m *Model) SetName(name string) { m.name = name }
 

@@ -111,6 +111,9 @@ func NewModel(h, mean, variance float64) (*Model, error) {
 // Name implements traffic.Model.
 func (m *Model) Name() string { return m.name }
 
+// DrawVersion implements traffic.DrawVersioned.
+func (m *Model) DrawVersion() string { return "fgn.1" }
+
 // SetName overrides the display name.
 func (m *Model) SetName(name string) { m.name = name }
 

@@ -108,6 +108,9 @@ func NewFromMoments(mean, variance, hurst, minHold, ts float64) (*Model, error) 
 // Name implements traffic.Model.
 func (m *Model) Name() string { return m.name }
 
+// DrawVersion implements traffic.DrawVersioned.
+func (m *Model) DrawVersion() string { return "mginf.1" }
+
 // SetName overrides the display name.
 func (m *Model) SetName(name string) { m.name = name }
 

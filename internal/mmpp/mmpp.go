@@ -103,6 +103,9 @@ func Fit(mean, variance, a, ts float64) (*Model, error) {
 // Name implements traffic.Model.
 func (m *Model) Name() string { return m.name }
 
+// DrawVersion implements traffic.DrawVersioned.
+func (m *Model) DrawVersion() string { return "mmpp.1" }
+
 // SetName overrides the display name.
 func (m *Model) SetName(name string) { m.name = name }
 

@@ -134,6 +134,10 @@ func (m *AIMD) Name() string { return m.name }
 // Base returns the wrapped open-loop model.
 func (m *AIMD) Base() traffic.Model { return m.base }
 
+// DrawVersion implements traffic.DrawVersioned: the controller draws
+// nothing, so the paths are the base's.
+func (m *AIMD) DrawVersion() string { return traffic.DrawVersion(m.base) }
+
 // Config returns the fully-defaulted controller parameters.
 func (m *AIMD) Config() AIMDConfig { return m.cfg }
 

@@ -68,6 +68,9 @@ func NewComposite(x *fbndp.Model, y *dar.Process, name string) *Composite {
 // Name implements traffic.Model.
 func (c *Composite) Name() string { return c.name }
 
+// DrawVersion implements traffic.DrawVersioned, joining the components'.
+func (c *Composite) DrawVersion() string { return c.X.DrawVersion() + "+" + c.Y.DrawVersion() }
+
 // Mean implements traffic.Model.
 func (c *Composite) Mean() float64 { return c.X.Mean() + c.Y.Mean() }
 

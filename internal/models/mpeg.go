@@ -88,6 +88,10 @@ func NewMPEG(base traffic.Model, weights []float64) (*MPEG, error) {
 // Name implements traffic.Model.
 func (m *MPEG) Name() string { return m.name }
 
+// DrawVersion implements traffic.DrawVersioned: the GOP weights draw
+// nothing, so the paths are the base's.
+func (m *MPEG) DrawVersion() string { return traffic.DrawVersion(m.base) }
+
 // Period returns the GOP length P.
 func (m *MPEG) Period() int { return len(m.weights) }
 

@@ -168,8 +168,8 @@ func RunReplicationsEngine(ctx context.Context, eng *runner.Engine, cfg Config, 
 		ID:         "mux/clr/" + cfg.Model.Name(),
 		Reps:       reps,
 		MasterSeed: cfg.Seed,
-		Fingerprint: fmt.Sprintf("mux/clr|model=%s|N=%d|c=%g|b=%g|frames=%d|warmup=%d",
-			cfg.Model.Name(), cfg.N, cfg.C, cfg.B, cfg.Frames, cfg.Warmup),
+		Fingerprint: fmt.Sprintf("mux/clr|model=%s|draws=%s|N=%d|c=%g|b=%g|frames=%d|warmup=%d",
+			cfg.Model.Name(), traffic.DrawVersion(cfg.Model), cfg.N, cfg.C, cfg.B, cfg.Frames, cfg.Warmup),
 	}
 	return runner.Run(ctx, eng, spec, func(ctx context.Context, r runner.Rep) (Result, error) {
 		c := cfg

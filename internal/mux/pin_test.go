@@ -161,8 +161,8 @@ func TestOpenLoopRunBOPPinned(t *testing.T) {
 	}
 	checkBOP(t, got, BOPResult{
 		Thresholds: []float64{1000, 0, 100},
-		Prob:       []float64{0.011111111111111112, 0.058222222222222224, 0.036555555555555556},
-		MaxW:       4809.877021937442,
+		Prob:       []float64{0.014222222222222223, 0.06677777777777778, 0.04544444444444445},
+		MaxW:       3403.6914943254433,
 	})
 }
 

@@ -60,8 +60,9 @@ func SweepReplications(cfg Config, buffersCells []float64, reps int) ([][]Result
 }
 
 // sweepSpec describes the replication batch for the orchestration engine.
-// The fingerprint covers every parameter that affects results so that
-// checkpoint entries from a different configuration are never replayed.
+// The fingerprint covers every parameter that affects results, the
+// model's draw version included, so that checkpoint entries from a
+// different configuration or an older draw order are never replayed.
 //
 // A closed-loop sweep draws its replication seeds under the job ID of
 // per-buffer replications ("mux/clr/"), so each of its buffers reproduces
@@ -77,8 +78,8 @@ func sweepSpec(cfg Config, buffersCells []float64, reps int) runner.Spec {
 		ID:         id + cfg.Model.Name(),
 		Reps:       reps,
 		MasterSeed: cfg.Seed,
-		Fingerprint: fmt.Sprintf("%s|model=%s|N=%d|c=%g|frames=%d|warmup=%d|buffers=%v",
-			kind, cfg.Model.Name(), cfg.N, cfg.C, cfg.Frames, cfg.Warmup, buffersCells),
+		Fingerprint: fmt.Sprintf("%s|model=%s|draws=%s|N=%d|c=%g|frames=%d|warmup=%d|buffers=%v",
+			kind, cfg.Model.Name(), traffic.DrawVersion(cfg.Model), cfg.N, cfg.C, cfg.Frames, cfg.Warmup, buffersCells),
 	}
 }
 

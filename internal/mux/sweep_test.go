@@ -11,6 +11,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/modelspec"
 	"repro/internal/runner"
+	"repro/internal/traffic"
 )
 
 func TestRunSweepMatchesIndividualRuns(t *testing.T) {
@@ -229,5 +230,91 @@ func TestSweepCheckpointGrowsReps(t *testing.T) {
 	}
 	if !reflect.DeepEqual(grown, whole) {
 		t.Fatal("sweep grown through a checkpoint differs from one made in one go")
+	}
+}
+
+// versioned reports v as the draw version of m's paths.
+type versioned struct {
+	traffic.Model
+	v string
+}
+
+func (m versioned) DrawVersion() string { return m.v }
+
+// TestCheckpointKeysOnDrawVersion writes a checkpoint under one draw
+// version of a DAR(1) source and shows that runs under the next version,
+// through a sweep and a per-buffer job alike, replay none of it and equal
+// fresh runs, while a rerun under the checkpointed version replays all.
+func TestCheckpointKeysOnDrawVersion(t *testing.T) {
+	m, err := modelspec.Parse("dar1:0.9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := runner.OpenCheckpoint(filepath.Join(t.TempDir(), "ckpt.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	buffers := []float64{20, 0, 5}
+	const reps = 4
+	run := func(version string) (resumed int64, sweep [][]Result, single []Result) {
+		t.Helper()
+		eng := runner.New(2)
+		eng.SetCheckpoint(ck)
+		cfg := Config{Model: versioned{m, version}, N: 3, C: 480, B: 5, Frames: 200, Seed: 5}
+		if sweep, err = SweepReplicationsEngine(context.Background(), eng, cfg, buffers, reps); err != nil {
+			t.Fatal(err)
+		}
+		if single, err = RunReplicationsEngine(context.Background(), eng, cfg, reps); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Stats().RepsResumed, sweep, single
+	}
+	if n, _, _ := run("dar.1"); n != 0 {
+		t.Fatalf("first run resumed %d replications from an empty checkpoint", n)
+	}
+	n, sweep, single := run("dar.2")
+	if n != 0 {
+		t.Fatalf("run under a new draw version replayed %d checkpointed replications, want 0", n)
+	}
+	if n, again, againSingle := run("dar.2"); n != 2*reps || !reflect.DeepEqual(again, sweep) || !reflect.DeepEqual(againSingle, single) {
+		t.Fatalf("rerun under the checkpointed version resumed %d replications (want %d) or differs", n, 2*reps)
+	}
+	fresh, err := SweepReplicationsEngine(context.Background(), runner.New(1),
+		Config{Model: m, N: 3, C: 480, Frames: 200, Seed: 5}, buffers, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sweep, fresh) {
+		t.Fatal("sweep under a new draw version differs from a run without a checkpoint")
+	}
+}
+
+// TestDrawVersions pins each model family's draw version as checkpoint
+// fingerprints see it: a composite joins its parts', a wrapper reports
+// its base's.
+func TestDrawVersions(t *testing.T) {
+	for spec, want := range map[string]string{
+		"dar1:0.9":     "dar.2",
+		"dar:0.975:3":  "dar.2",
+		"z:0.975":      "fbndp.1+dar.2",
+		"v:1":          "fbndp.1+dar.2",
+		"l":            "fbndp.1",
+		"aimd:z:0.975": "fbndp.1+dar.2",
+		"fgn:0.9":      "fgn.1",
+		"mginf:0.9":    "mginf.1",
+		"mmpp:0.9":     "mmpp.1",
+	} {
+		m, err := modelspec.Parse(spec)
+		if err != nil {
+			t.Errorf("%s: %v", spec, err)
+			continue
+		}
+		if got := traffic.DrawVersion(m); got != want {
+			t.Errorf("%s: draw version %q, want %q", spec, got, want)
+		}
+		if got := traffic.DrawVersion(traffic.NewMoments(traffic.ScalarModel(m))); got != want {
+			t.Errorf("%s behind Moments and ScalarModel: draw version %q, want %q", spec, got, want)
+		}
 	}
 }

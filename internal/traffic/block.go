@@ -51,6 +51,9 @@ type scalarModel struct{ Model }
 // BenchmarkMuxRunScalar baseline need.
 func ScalarModel(m Model) Model { return scalarModel{m} }
 
+// DrawVersion implements DrawVersioned: the paths are the wrapped model's.
+func (s scalarModel) DrawVersion() string { return DrawVersion(s.Model) }
+
 // NewGenerator implements Model, hiding the underlying generator's Fill.
 func (s scalarModel) NewGenerator(seed int64) Generator {
 	g := s.Model.NewGenerator(seed)

@@ -63,6 +63,9 @@ func NewMoments(m Model) *Moments {
 // Model returns the wrapped model.
 func (mo *Moments) Model() Model { return mo.model }
 
+// DrawVersion implements DrawVersioned for the wrapped model.
+func (mo *Moments) DrawVersion() string { return DrawVersion(mo.model) }
+
 // Name implements Model.
 func (mo *Moments) Name() string { return mo.model.Name() }
 

@@ -1,7 +1,12 @@
 package traffic
 
 import (
+	"bufio"
 	"fmt"
+	"math"
+	"os"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/seed"
@@ -27,6 +32,35 @@ type Replay struct {
 
 	mu  sync.Mutex
 	acf []float64 // memoised circular autocorrelation, acf[0] = 1
+}
+
+// ReadTrace reads a frame-size trace file: one number per line, with
+// blank lines and lines starting with # skipped. A line that does not
+// parse, or parses to NaN or ±Inf, is an error naming its line number,
+// so a corrupt trace cannot reach an estimator as NaN statistics.
+func ReadTrace(path string) ([]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var xs []float64
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("value %v is not finite", v)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: bad trace line %q: %w", path, n, line, err)
+		}
+		xs = append(xs, v)
+	}
+	return xs, sc.Err()
 }
 
 // NewReplay copies trace (at least 2 frames, non-constant) into a replay
@@ -58,6 +92,10 @@ func NewReplay(name string, trace []float64) (*Replay, error) {
 
 // Name implements Model.
 func (r *Replay) Name() string { return r.name }
+
+// DrawVersion implements DrawVersioned: one seed-derived offset per
+// generator.
+func (r *Replay) DrawVersion() string { return "replay.1" }
 
 // Len returns the trace length in frames.
 func (r *Replay) Len() int { return len(r.data) }

@@ -44,6 +44,25 @@ type ACFRanger interface {
 	ACFRange(dst []float64, from int)
 }
 
+// DrawVersioned is an optional Model extension naming the version of a
+// model's draw order: which random draws make a sample path, and in what
+// order. A family bumps its version whenever a change moves its paths at
+// a fixed seed, and checkpoint fingerprints carry it, so replications
+// saved under the old draws are never replayed into a run on the new
+// ones. Substrates name their own version; wrappers report their base's
+// and composites join their parts'.
+type DrawVersioned interface {
+	DrawVersion() string
+}
+
+// DrawVersion returns m's draw version, or "" when m declares none.
+func DrawVersion(m Model) string {
+	if v, ok := m.(DrawVersioned); ok {
+		return v.DrawVersion()
+	}
+	return ""
+}
+
 // Generate draws n successive frames from g.
 func Generate(g Generator, n int) []float64 {
 	out := make([]float64, n)

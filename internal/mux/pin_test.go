@@ -166,6 +166,51 @@ func TestOpenLoopRunBOPPinned(t *testing.T) {
 	})
 }
 
+// TestOpenLoopRunSweepPinned holds the open-loop CLR drain to its exact
+// output on a DAR(1) source (the fit to Z^0.975 that Fig 10 simulates),
+// so a change to the FBNDP draws cannot move it: any drift here is the
+// Lindley kernel's. The load is set so every buffer loses cells, and the
+// buffers are listed out of order.
+func TestOpenLoopRunSweepPinned(t *testing.T) {
+	z, err := models.NewZ(0.975)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, err := models.FitS(z, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := traffic.DrawVersion(d1); v != "dar.2" {
+		t.Fatalf("draw version %q, want dar.2: re-capture this pin with the new draws", v)
+	}
+	got, err := RunSweep(Config{Model: d1, N: 10, C: 520, Frames: 9000, Warmup: 300, Seed: 11},
+		[]float64{40, 0, 10, 100, 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const arrived = 4.495921271641968e+07
+	want := []Result{
+		{Frames: 9000, ArrivedCells: arrived, LostCells: 97986.51833766357, CLR: 0.002179453607333245,
+			LossFrames: 626, MeanWorkload: 58.10022723144543, MaxWorkload: 400},
+		{Frames: 9000, ArrivedCells: arrived, LostCells: 192142.96754824088, CLR: 0.0042737173526632465,
+			LossFrames: 1597},
+		{Frames: 9000, ArrivedCells: arrived, LostCells: 154191.56575064445, CLR: 0.0034295877626507394,
+			LossFrames: 1176, MeanWorkload: 16.851434987724375, MaxWorkload: 100},
+		{Frames: 9000, ArrivedCells: arrived, LostCells: 50686.87887989787, CLR: 0.0011273969408584945,
+			LossFrames: 293, MeanWorkload: 111.8158407316222, MaxWorkload: 1000},
+		{Frames: 9000, ArrivedCells: arrived, LostCells: 2198.320979951859, CLR: 4.8895895793766955e-05,
+			LossFrames: 8, MeanWorkload: 212.28734975810374, MaxWorkload: 4000},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("RunSweep returned %d results, want %d", len(got), len(want))
+	}
+	for j := range want {
+		if got[j] != want[j] {
+			t.Errorf("buffer %d: RunSweep = %#v, want %#v", j, got[j], want[j])
+		}
+	}
+}
+
 func checkBOP(t *testing.T, got, want BOPResult) {
 	t.Helper()
 	if got.MaxW != want.MaxW || len(got.Prob) != len(want.Prob) || len(got.Thresholds) != len(want.Thresholds) {

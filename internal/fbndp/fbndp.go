@@ -171,7 +171,7 @@ func NewModel(p Params) (*Model, error) {
 func (m *Model) Name() string { return m.name }
 
 // DrawVersion implements traffic.DrawVersioned.
-func (m *Model) DrawVersion() string { return "fbndp.1" }
+func (m *Model) DrawVersion() string { return "fbndp.2" }
 
 // SetName overrides the display name.
 func (m *Model) SetName(name string) { m.name = name }
@@ -190,7 +190,7 @@ func (m *Model) ACFRange(dst []float64, from int) { m.P.ACFRange(dst, from) }
 
 // durations holds the constants of the heavy-tailed ON/OFF duration
 // distribution and samples its equilibrium residual distribution. Fresh
-// durations come from freshDuration.
+// durations come from the ziggurat for γ, in units of A.
 type durations struct {
 	gamma   float64 // 2−α
 	a       float64 // crossover A
@@ -213,23 +213,6 @@ func newDurations(alpha, a float64) durations {
 		eg:      math.Exp(g),
 		pag:     math.Pow(a, -g),
 	}
-}
-
-// freshDuration maps a standard exponential draw e to a fresh ON/OFF
-// duration with crossover a and tail index gamma. The density is an
-// exponential with rate γ/A on [0, A] and a Pareto(γ) tail beyond,
-// continuous at A with tail mass e^{−γ}; both pieces come from the one
-// draw. T = e·A/γ is the untruncated exponential, which exceeds A exactly
-// when e > γ, with probability e^{−γ}. Given e > γ, e − γ is again a
-// standard exponential (memorylessness), so T = A·exp((e−γ)/γ) has the
-// tail's conditional law P(T > t | T > A) = (A/t)^γ. T is infinite only
-// when e is: rand.ExpFloat64 returns +Inf only when the Float64 draw of
-// its ziggurat tail is exactly 0, i.e. its Int63 draw is 0.
-func freshDuration(e, a, gamma float64) float64 {
-	if e > gamma {
-		return a * math.Exp((e-gamma)/gamma)
-	}
-	return e * a / gamma
 }
 
 // sampleResidual draws from the equilibrium residual-life distribution with
@@ -268,23 +251,32 @@ type phase struct {
 	remaining float64 // seconds until the next toggle
 }
 
-// generator produces frame counts from an FBNDP sample path.
+// generator produces frame counts from an FBNDP sample path. Fresh
+// durations come from stream through the ziggurat; the residual starts
+// and the Poisson counts come from rng, the stream's Rand view, so every
+// draw advances one sequence.
 type generator struct {
 	p      Params
 	dur    durations
+	zig    *ziggurat
 	r      float64 // ON rate in cells/sec
+	stream *randx.Stream
 	rng    *rand.Rand
 	phases []phase
 }
 
 // NewGenerator implements traffic.Model. Every ON/OFF process starts in
-// equilibrium: ON with probability 1/2 and a residual-life duration.
+// equilibrium: ON with probability 1/2 and a residual-life duration. The
+// first generator for a given α builds its ziggurat tables.
 func (m *Model) NewGenerator(seed int64) traffic.Generator {
-	rng := randx.NewRand(seed)
+	stream := randx.NewStream(seed)
+	rng := stream.Rand()
 	g := &generator{
 		p:      m.P,
 		dur:    newDurations(m.P.Alpha, m.P.CutoffA()),
+		zig:    zigguratFor(2 - m.P.Alpha),
 		r:      m.P.OnRate(),
+		stream: stream,
 		rng:    rng,
 		phases: make([]phase, m.P.M),
 	}
@@ -312,11 +304,11 @@ func (g *generator) Fill(dst []float64) {
 }
 
 // frame advances the sample path one frame. Each toggle draws a fresh
-// duration from one ziggurat exponential (freshDuration). The V^v
-// simulations' phase changes outnumber frames 100:1, so the loop runs on
-// locals.
+// duration from the ziggurat. The V^v simulations' phase changes
+// outnumber frames 100:1, so the loop runs on locals and takes the
+// ziggurat's first try in line: draw itself is too large to inline.
 func (g *generator) frame() float64 {
-	a, gamma, ts, rng := g.dur.a, g.dur.gamma, g.p.Ts, g.rng
+	a, ts, zig, stream := g.dur.a, g.p.Ts, g.zig, g.stream
 	var onTime float64
 	for i := range g.phases {
 		on, remaining := g.phases[i].on, g.phases[i].remaining
@@ -327,14 +319,19 @@ func (g *generator) frame() float64 {
 			}
 			left -= remaining
 			on = !on
-			remaining = freshDuration(rng.ExpFloat64(), a, gamma)
+			// zig.draw, with its first try inlined by hand.
+			k, x := zig.layer(stream.Uint64())
+			if x >= zig.x[k+1] {
+				x = zig.redraw(stream, k, x)
+			}
+			remaining = a * x
 		}
 		if on {
 			onTime += left
 		}
 		g.phases[i] = phase{on: on, remaining: remaining - left}
 	}
-	return float64(randx.Poisson(rng, g.r*onTime))
+	return float64(randx.Poisson(g.rng, g.r*onTime))
 }
 
 // ErrInfeasible reports a parameter derivation with no valid solution.

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/randx"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/internal/traffic/traffictest"
@@ -63,7 +63,8 @@ func TestValidate(t *testing.T) {
 // TestValidateExtremeAlpha checks the guard at the edges of α: it must
 // return an error, never panic, wherever γ = 2−α rounds out of (1, 2) or
 // the crossover A is not finite and positive, and any parameter set it
-// accepts must give finite, positive duration constants (no NaN).
+// accepts must give finite, positive duration constants (no NaN) and a
+// ziggurat that closes.
 func TestValidateExtremeAlpha(t *testing.T) {
 	z := zParams()
 	unit := Params{Lambda: 1, T0: 1, M: 1, Ts: 1}
@@ -100,6 +101,10 @@ func TestValidateExtremeAlpha(t *testing.T) {
 				t.Errorf("%s: accepted, but durations %+v hold a non-finite or non-positive constant", c.name, d)
 				break
 			}
+		}
+		z := newZiggurat(d.gamma)
+		if res := (z.f[zigLayers-1] + z.v/z.x[zigLayers-1] - z.gamma) / z.gamma; !(z.x[1] > 1) || !(math.Abs(res) <= 1e-12) {
+			t.Errorf("%s: accepted, but its ziggurat has r = %v and closure residual %g", c.name, z.x[1], res)
 		}
 	}
 }
@@ -226,19 +231,26 @@ func TestACFPowerLawTail(t *testing.T) {
 }
 
 // sample draws one fresh duration as generator.frame does on a toggle.
-func (d durations) sample(r *rand.Rand) float64 {
-	return freshDuration(r.ExpFloat64(), d.a, d.gamma)
+func (d durations) sample(s *randx.Stream) float64 {
+	return d.a * zigguratFor(d.gamma).draw(s)
 }
 
-// checkKS draws n samples with draw and fails when their
-// Kolmogorov–Smirnov statistic D = sup |F_n − F| against cdf exceeds the
-// asymptotic 1% critical value √(−ln(0.005)/2)/√n.
+// checkKS draws n samples with draw and checks them with checkKSSample.
 func checkKS(t *testing.T, name string, n int, draw func() float64, cdf func(float64) float64) {
 	t.Helper()
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = draw()
 	}
+	checkKSSample(t, name, xs, cdf)
+}
+
+// checkKSSample sorts xs and fails when their Kolmogorov–Smirnov
+// statistic D = sup |F_n − F| against cdf exceeds the asymptotic 1%
+// critical value √(−ln(0.005)/2)/√n.
+func checkKSSample(t *testing.T, name string, xs []float64, cdf func(float64) float64) {
+	t.Helper()
+	n := len(xs)
 	sort.Float64s(xs)
 	var d float64
 	for i, x := range xs {
@@ -260,8 +272,8 @@ func TestFreshDurationKS(t *testing.T) {
 	for i, alpha := range durationAlphas {
 		d := newDurations(alpha, 1.5e-3)
 		g := d.gamma
-		rng := rand.New(rand.NewSource(int64(100 + i)))
-		checkKS(t, fmt.Sprintf("α = %v", alpha), 200000, func() float64 { return d.sample(rng) },
+		s := randx.NewStream(int64(100 + i))
+		checkKS(t, fmt.Sprintf("α = %v", alpha), 200000, func() float64 { return d.sample(s) },
 			func(x float64) float64 {
 				if x <= d.a {
 					return -math.Expm1(-g * x / d.a)
@@ -277,7 +289,7 @@ func TestResidualDurationKS(t *testing.T) {
 	for i, alpha := range durationAlphas {
 		d := newDurations(alpha, 1.5e-3)
 		g := d.gamma
-		rng := rand.New(rand.NewSource(int64(200 + i)))
+		rng := randx.NewStream(int64(200 + i)).Rand()
 		checkKS(t, fmt.Sprintf("α = %v", alpha), 200000, func() float64 { return d.sampleResidual(rng) },
 			func(x float64) float64 {
 				if x <= d.a {
@@ -291,11 +303,11 @@ func TestResidualDurationKS(t *testing.T) {
 func TestDurationsMean(t *testing.T) {
 	// Use a milder tail (γ = 1.8) where the sample mean converges well.
 	d := newDurations(0.2, 1.0)
-	rng := rand.New(rand.NewSource(4))
+	s := randx.NewStream(4)
 	var sum float64
 	n := 2_000_000
 	for i := 0; i < n; i++ {
-		sum += d.sample(rng)
+		sum += d.sample(s)
 	}
 	got := sum / float64(n)
 	if math.Abs(got-d.mean)/d.mean > 0.05 {
@@ -307,7 +319,7 @@ func TestDurationsResidualSurvival(t *testing.T) {
 	// The equilibrium residual distribution has survival
 	// P(Te > t) = (E[T] − G(t))/E[T]; verify empirically at several t.
 	d := newDurations(0.5, 1.0)
-	rng := rand.New(rand.NewSource(12))
+	rng := randx.NewStream(12).Rand()
 	n := 400000
 	samples := make([]float64, n)
 	for i := range samples {
@@ -338,9 +350,10 @@ func TestDurationsResidualSurvival(t *testing.T) {
 
 func TestDurationsSamplesPositive(t *testing.T) {
 	d := newDurations(0.8, 2.0)
-	rng := rand.New(rand.NewSource(3))
+	stream := randx.NewStream(3)
+	rng := stream.Rand()
 	for i := 0; i < 100000; i++ {
-		if s := d.sample(rng); s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		if s := d.sample(stream); s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 			t.Fatalf("bad duration sample %v", s)
 		}
 		if s := d.sampleResidual(rng); s <= 0 || math.IsNaN(s) {
@@ -461,19 +474,19 @@ func BenchmarkGeneratorFrame(b *testing.B) {
 
 // pinnedStreams are the FBNDP components of the three simulated model
 // families, as models.NewZ(0.975), models.NewV(1.5) and models.NewL
-// derive them. The hashes were recorded when the tail draw started
-// reusing the body's exponential (one ExpFloat64 per fresh duration);
-// the oracle in internal/models is the statistical evidence for that
-// re-baseline.
+// derive them. The hashes were recorded when fresh durations started
+// coming from the ziggurat over their own density (draw version
+// fbndp.2); the oracle in internal/models and TestZigguratExitKS are
+// the statistical evidence for that re-baseline.
 var pinnedStreams = []struct {
 	name   string
 	p      Params
 	frames int
 	hash   uint64
 }{
-	{"Z^0.975", Params{Alpha: 0.8, Lambda: 6250, T0: 0.002566001196398337, M: 15, Ts: 0.04}, 3000, 0x31a38d7a845b48e3},
-	{"V^1.5", Params{Alpha: 0.9, Lambda: 7500, T0: 0.0034816934974989874, M: 15, Ts: 0.04}, 3000, 0x16db35f2f55f2709},
-	{"L", Params{Alpha: 0.72, Lambda: 12500, T0: 0.0018911377881618396, M: 30, Ts: 0.04}, 3000, 0x6fb01d21095624c3},
+	{"Z^0.975", Params{Alpha: 0.8, Lambda: 6250, T0: 0.002566001196398337, M: 15, Ts: 0.04}, 3000, 0x70c4fb1b1836d02f},
+	{"V^1.5", Params{Alpha: 0.9, Lambda: 7500, T0: 0.0034816934974989874, M: 15, Ts: 0.04}, 3000, 0x50b1304200bd42d},
+	{"L", Params{Alpha: 0.72, Lambda: 12500, T0: 0.0018911377881618396, M: 30, Ts: 0.04}, 3000, 0x4793c3da5251154f},
 }
 
 // streamHash runs frames frames from seed and returns an FNV-1a hash of

@@ -161,8 +161,8 @@ func TestOpenLoopRunBOPPinned(t *testing.T) {
 	}
 	checkBOP(t, got, BOPResult{
 		Thresholds: []float64{1000, 0, 100},
-		Prob:       []float64{0.014222222222222223, 0.06677777777777778, 0.04544444444444445},
-		MaxW:       3403.6914943254433,
+		Prob:       []float64{0.008666666666666666, 0.043555555555555556, 0.02988888888888889},
+		MaxW:       2482.7027246834878,
 	})
 }
 

@@ -242,9 +242,11 @@ type versioned struct {
 func (m versioned) DrawVersion() string { return m.v }
 
 // TestCheckpointKeysOnDrawVersion writes a checkpoint under one draw
-// version of a DAR(1) source and shows that runs under the next version,
-// through a sweep and a per-buffer job alike, replay none of it and equal
-// fresh runs, while a rerun under the checkpointed version replays all.
+// version and shows that runs under the next version, through a sweep
+// and a per-buffer job alike, replay none of it and equal fresh runs,
+// while a rerun under the checkpointed version replays all. The versions
+// are the composite's before and after the FBNDP ziggurat; the source is
+// a fast DAR(1), since a fingerprint reads only the version string.
 func TestCheckpointKeysOnDrawVersion(t *testing.T) {
 	m, err := modelspec.Parse("dar1:0.9")
 	if err != nil {
@@ -270,14 +272,14 @@ func TestCheckpointKeysOnDrawVersion(t *testing.T) {
 		}
 		return eng.Stats().RepsResumed, sweep, single
 	}
-	if n, _, _ := run("dar.1"); n != 0 {
+	if n, _, _ := run("fbndp.1+dar.2"); n != 0 {
 		t.Fatalf("first run resumed %d replications from an empty checkpoint", n)
 	}
-	n, sweep, single := run("dar.2")
+	n, sweep, single := run("fbndp.2+dar.2")
 	if n != 0 {
 		t.Fatalf("run under a new draw version replayed %d checkpointed replications, want 0", n)
 	}
-	if n, again, againSingle := run("dar.2"); n != 2*reps || !reflect.DeepEqual(again, sweep) || !reflect.DeepEqual(againSingle, single) {
+	if n, again, againSingle := run("fbndp.2+dar.2"); n != 2*reps || !reflect.DeepEqual(again, sweep) || !reflect.DeepEqual(againSingle, single) {
 		t.Fatalf("rerun under the checkpointed version resumed %d replications (want %d) or differs", n, 2*reps)
 	}
 	fresh, err := SweepReplicationsEngine(context.Background(), runner.New(1),
@@ -297,10 +299,10 @@ func TestDrawVersions(t *testing.T) {
 	for spec, want := range map[string]string{
 		"dar1:0.9":     "dar.2",
 		"dar:0.975:3":  "dar.2",
-		"z:0.975":      "fbndp.1+dar.2",
-		"v:1":          "fbndp.1+dar.2",
-		"l":            "fbndp.1",
-		"aimd:z:0.975": "fbndp.1+dar.2",
+		"z:0.975":      "fbndp.2+dar.2",
+		"v:1":          "fbndp.2+dar.2",
+		"l":            "fbndp.2",
+		"aimd:z:0.975": "fbndp.2+dar.2",
 		"fgn:0.9":      "fgn.1",
 		"mginf:0.9":    "mginf.1",
 		"mmpp:0.9":     "mmpp.1",

@@ -306,7 +306,7 @@ func (g *generator) Fill(dst []float64) {
 // frame advances the sample path one frame. Each toggle draws a fresh
 // duration from the ziggurat. The V^v simulations' phase changes
 // outnumber frames 100:1, so the loop runs on locals and takes the
-// ziggurat's first try in line: draw itself is too large to inline.
+// ziggurat's first try in line; only redraw is a call.
 func (g *generator) frame() float64 {
 	a, ts, zig, stream := g.dur.a, g.p.Ts, g.zig, g.stream
 	var onTime float64
@@ -319,7 +319,6 @@ func (g *generator) frame() float64 {
 			}
 			left -= remaining
 			on = !on
-			// zig.draw, with its first try inlined by hand.
 			k, x := zig.layer(stream.Uint64())
 			if x >= zig.x[k+1] {
 				x = zig.redraw(stream, k, x)

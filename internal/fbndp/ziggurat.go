@@ -28,6 +28,11 @@ const zigLayers = 256
 // it lies in the wedge between the layer's corner and the curve, or, in
 // the base layer, stands for the tail.
 //
+// A draw maps one Uint64 through layer: its low 8 bits pick the layer
+// and its top 53 bits the abscissa. An abscissa below the layer's inner
+// edge is the duration, so most draws take one Uint64; only the rest,
+// in redraw, draw again and call exp or pow.
+//
 // The tables depend on γ = 2−α alone. For every α in (0, 1) the closing r
 // exceeds 1, so the tail beyond r is the pure Pareto part of f.
 type ziggurat struct {
@@ -36,18 +41,6 @@ type ziggurat struct {
 	v     float64 // area of every layer
 	x     [zigLayers + 1]float64
 	f     [zigLayers + 1]float64 // f(x[i]); f[0] is unused
-}
-
-// draw returns one fresh duration in units of A. One Uint64 does for
-// most draws: its low 8 bits pick the layer and its top 53 bits the
-// abscissa, and an abscissa below the layer's inner edge is the draw.
-// Only the rest, in redraw, draws again and calls exp or pow.
-func (z *ziggurat) draw(s *randx.Stream) float64 {
-	i, x := z.layer(s.Uint64())
-	if x < z.x[i+1] {
-		return x
-	}
-	return z.redraw(s, i, x)
 }
 
 // layer maps one Uint64 to a layer i and an abscissa x uniform on

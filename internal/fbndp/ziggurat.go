@@ -31,7 +31,9 @@ const zigLayers = 256
 // A draw maps one Uint64 through layer: its low 8 bits pick the layer
 // and its top 53 bits the abscissa. An abscissa below the layer's inner
 // edge is the duration, so most draws take one Uint64; only the rest,
-// in redraw, draw again and call exp or pow.
+// in redraw, draw again and call exp or pow. The low bits of the
+// additive lagged-Fibonacci stream obey their own recurrence; DESIGN
+// (FBNDP, "The layer's bits") says what that does and does not touch.
 //
 // The tables depend on γ = 2−α alone. For every α in (0, 1) the closing r
 // exceeds 1, so the tail beyond r is the pure Pareto part of f.
@@ -48,6 +50,17 @@ type ziggurat struct {
 func (z *ziggurat) layer(u uint64) (i uint64, x float64) {
 	i = u % zigLayers
 	return i, float64(u>>11) * 0x1p-53 * z.x[i]
+}
+
+// draw returns one fresh duration in units of A. generator.frame takes
+// the same steps in line, since as a call it costs the toggle loop
+// ≈ 20%; TestFrameDrawsAsDraw holds the two to the same durations.
+func (z *ziggurat) draw(s *randx.Stream) float64 {
+	i, x := z.layer(s.Uint64())
+	if x < z.x[i+1] {
+		return x
+	}
+	return z.redraw(s, i, x)
 }
 
 // redraw finishes a draw whose abscissa x in layer i lies at or beyond
@@ -131,19 +144,20 @@ func newZiggurat(gamma float64) *ziggurat {
 	return z
 }
 
-// ziggurats caches one table per γ for the process, keyed by γ's bits.
-// Tables are built on a model's first NewGenerator, never in NewModel,
-// Validate or ACF, so the analytic paths, which construct hundreds of
-// models, build none. A table is ≈ 4 KiB and is never written after it
-// is built.
+// ziggurats caches one table per γ for the process, keyed by γ. Tables
+// are built on a model's first NewGenerator, never in NewModel, Validate
+// or ACF, so the analytic paths, which construct hundreds of models,
+// build none. The cache is process-wide rather than per model because
+// the figures build one model per series: Figs 8 and 9 make ten FBNDP
+// models over three γ, and a build takes ≈ 1.7 ms. A table is ≈ 4 KiB
+// and is never written after it is built.
 var ziggurats sync.Map
 
 // zigguratFor returns the cached table for tail index gamma.
 func zigguratFor(gamma float64) *ziggurat {
-	key := math.Float64bits(gamma)
-	if z, ok := ziggurats.Load(key); ok {
+	if z, ok := ziggurats.Load(gamma); ok {
 		return z.(*ziggurat)
 	}
-	z, _ := ziggurats.LoadOrStore(key, newZiggurat(gamma))
+	z, _ := ziggurats.LoadOrStore(gamma, newZiggurat(gamma))
 	return z.(*ziggurat)
 }

@@ -10,16 +10,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// draw returns one fresh duration in units of A, drawn as
-// generator.frame draws it on a toggle.
-func (z *ziggurat) draw(s *randx.Stream) float64 {
-	i, x := z.layer(s.Uint64())
-	if x < z.x[i+1] {
-		return x
-	}
-	return z.redraw(s, i, x)
-}
-
 // TestZigguratTables checks the tables across the whole range of α: the
 // top layer closes on f(0) to within 1e-12, the layer edges fall
 // strictly from the base width to 0, the densities at the edges rise
@@ -155,13 +145,15 @@ func TestFillAllocations(t *testing.T) {
 }
 
 // TestZigguratBuiltOnFirstGenerator holds the tables to the generator
-// path: NewModel, Validate and ACF leave the cache alone, and a model's
-// generators share the one table built by the first of them.
+// path: NewModel, Validate and ACF leave the cache alone, and two
+// generators made at once share the one table, equal to a fresh build.
+// The γ is used by no other test; the entry is cleared first so that a
+// -count run starts from the same empty cache.
 func TestZigguratBuiltOnFirstGenerator(t *testing.T) {
 	p := zParams()
-	p.Alpha = 0.61 // no other test uses this α
+	p.Alpha = 0.61
 	gamma := 2 - p.Alpha
-	ziggurats.Delete(math.Float64bits(gamma)) // left by an earlier -count run
+	ziggurats.Delete(gamma)
 	m, err := NewModel(p)
 	if err != nil {
 		t.Fatal(err)
@@ -170,39 +162,71 @@ func TestZigguratBuiltOnFirstGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = m.ACF(3)
-	if _, ok := ziggurats.Load(math.Float64bits(gamma)); ok {
+	if _, ok := ziggurats.Load(gamma); ok {
 		t.Fatal("a table was built before the first NewGenerator")
 	}
-	a := m.NewGenerator(1).(*generator)
-	b := m.NewGenerator(2).(*generator)
-	if a.zig == nil || a.zig != b.zig || a.zig.gamma != gamma {
-		t.Fatalf("generators hold tables %p and %p for γ = %v", a.zig, b.zig, gamma)
-	}
-}
-
-// TestZigguratForConcurrent has several goroutines ask for one γ's table
-// at once: all must get the same table, equal to a fresh build.
-func TestZigguratForConcurrent(t *testing.T) {
-	const gamma = 2 - 0.47 // no other test uses this α
-	got := make([]*ziggurat, 4)
+	gens := make([]*generator, 2)
 	var wg sync.WaitGroup
-	for i := range got {
+	for i := range gens {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = zigguratFor(gamma)
+			gens[i] = m.NewGenerator(int64(i)).(*generator)
 		}()
 	}
 	wg.Wait()
-	want := newZiggurat(gamma)
-	for i, z := range got {
-		if z != got[0] {
-			t.Fatalf("goroutine %d got table %p, goroutine 0 got %p", i, z, got[0])
-		}
+	if gens[0].zig != gens[1].zig {
+		t.Fatalf("generators hold tables %p and %p", gens[0].zig, gens[1].zig)
 	}
-	if *got[0] != *want {
+	if *gens[0].zig != *newZiggurat(gamma) {
 		t.Fatal("the cached table differs from a fresh build")
 	}
+}
+
+// TestFrameDrawsAsDraw ties the toggle loop's in-line draw to
+// ziggurat.draw, which the law tests and BenchmarkZigguratDraw run:
+// two generators from one seed, one stepped by frame and one by a copy
+// of frame that calls draw, must give the same frames bit for bit.
+func TestFrameDrawsAsDraw(t *testing.T) {
+	for _, p := range []Params{
+		zParams(),
+		{Alpha: 0.9, Lambda: 6250, T0: 3e-3, M: 15, Ts: 0.04}, // A ≈ Ts/100: many toggles per frame
+	} {
+		m, err := NewModel(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := m.NewGenerator(1996).(*generator)
+		ref := m.NewGenerator(1996).(*generator)
+		for n := range 2000 {
+			if got, want := g.frame(), ref.frameByDraw(); got != want {
+				t.Fatalf("α = %v, frame %d: %v, want %v", p.Alpha, n, got, want)
+			}
+		}
+	}
+}
+
+// frameByDraw is generator.frame with each fresh duration taken from
+// ziggurat.draw.
+func (g *generator) frameByDraw() float64 {
+	var onTime float64
+	for i := range g.phases {
+		on, remaining := g.phases[i].on, g.phases[i].remaining
+		left := g.p.Ts
+		for remaining < left {
+			if on {
+				onTime += remaining
+			}
+			left -= remaining
+			on = !on
+			remaining = g.dur.a * g.zig.draw(g.stream)
+		}
+		if on {
+			onTime += left
+		}
+		g.phases[i] = phase{on: on, remaining: remaining - left}
+	}
+	return float64(randx.Poisson(g.rng, g.r*onTime))
 }
 
 // zigSink keeps BenchmarkZigguratDraw's draws live.

@@ -35,8 +35,25 @@ const (
 	oracleSeed   = 1996
 )
 
-// oracleMs are the aggregation levels checked.
-var oracleMs = []int{1, 10, 100, 1000}
+// oracleShort reports the -short form of the oracle, also run by every
+// race build: an eighth of the replications, without V^1.5, and without
+// m = 1000.
+func oracleShort() bool { return testing.Short() || raceEnabled }
+
+// oracleLevels returns the aggregation levels checked. At m = 1000 each
+// replication holds a single block, so V̂(1000) is a mean of squared
+// block sums, one per replication, whose skew the normal interval does
+// not carry: a sample that misses the rare large sums reads low and
+// reports a small spread as well. Over 800 replications the interval
+// holds; over the -short form's 100 it does not (Z^0.975's first 100
+// replications read z = −3.15 on the fbndp.1 draw and −4.16 on fbndp.2,
+// against a bound of 3.66), so only the full form checks m = 1000.
+func oracleLevels() []int {
+	if oracleShort() {
+		return []int{1, 10, 100}
+	}
+	return []int{1, 10, 100, 1000}
+}
 
 // oracleBand pins a cell whose V̂(m) is known to miss the model's V(m):
 // the 99% CI of V̂/V measured at 800 × 1000 frames before the FBNDP tail
@@ -103,9 +120,8 @@ func oracleFamilies(t *testing.T) []oracleFamily {
 		oracleFamily{"MMPP2(a=0.9)", must(mmpp.Fit(Mean, Variance, 0.9, Ts)), 800},
 		oracleFamily{"F-ARIMA(d=0.4)", fa, 800},
 	)
-	if testing.Short() || raceEnabled {
-		// The -short form, also every race build: an eighth of the
-		// replications, without V^1.5 (fams[0]).
+	if oracleShort() {
+		// An eighth of the replications, without V^1.5 (fams[0]).
 		fams = fams[1:]
 		for i := range fams {
 			fams[i].reps /= 8
@@ -142,9 +158,10 @@ func aggVarReps(m traffic.Model, label string, reps int, ms []int) [][]float64 {
 
 func TestGeneratorOracle(t *testing.T) {
 	fams := oracleFamilies(t)
+	ms := oracleLevels()
 	cells := 0
 	for _, f := range fams {
-		cells += len(oracleMs) - len(fbndpSmallM[f.name])
+		cells += len(ms) - len(fbndpSmallM[f.name])
 	}
 	zCell := stats.NormalQuantile(1 - oracleAlpha/2/float64(cells))
 	z99 := stats.NormalQuantile(0.995)
@@ -153,9 +170,9 @@ func TestGeneratorOracle(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			t.Parallel()
 			mo := traffic.NewMoments(f.model)
-			vhat := aggVarReps(f.model, f.name, f.reps, oracleMs)
+			vhat := aggVarReps(f.model, f.name, f.reps, ms)
 			line := fmt.Sprintf("%-16s %3d reps:", f.name, f.reps)
-			for i, m := range oracleMs {
+			for i, m := range ms {
 				want := mo.VarSum(m)
 				ci := stats.ReplicationCI(vhat[i], 0.99)
 				half := ci.Half / z99 // standard error

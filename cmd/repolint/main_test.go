@@ -10,7 +10,7 @@ import (
 
 // suiteNames derives the expected analyzer set from the registry itself:
 // the suite contract (exact names and order) is pinned once, in
-// internal/analysis's TestSuiteRegistersEightAnalyzers, and every other
+// internal/analysis's TestSuiteRegistersSevenAnalyzers, and every other
 // consumer — this multichecker included — follows the registry.
 func suiteNames() []string {
 	var names []string

@@ -31,8 +31,7 @@ func Same(a, b float64) bool {
 	return a == b
 }
 
-// Label is a proflabels violation (label API outside the prof package,
-// plus a key outside the fixed set).
+// Label uses the runtime/pprof import flagged above.
 func Label(ctx context.Context) context.Context {
 	return pprof.WithLabels(ctx, pprof.Labels("experiment", "x"))
 }

@@ -1,10 +1,12 @@
-// Golden Lindley-kernel regression: the stepped-engine refactor routed
-// every simulation path (Run, RunBOP, the sweeps) through one
-// shared lindleyStep kernel, and this test pins the kernel's sample paths
-// to a manifest captured BEFORE that refactor. It regenerates the
-// small-scale fig8/9/10 series in-process and compares every value at
-// rtol 0 — any arithmetic drift in the kernel, the block pipeline, or the
-// seed derivation is a hard failure, not a tolerance question.
+// Golden Lindley-kernel regression: every simulation path (Run, RunBOP,
+// the open- and closed-loop sweeps) drains through one shared lindleyStep
+// kernel. This test regenerates the smoke golden's figures in process and
+// compares every value with results/golden/manifest.jsonl at rtol 0, so
+// any arithmetic drift in the kernel, the block pipeline, the generators'
+// draws or the seed derivation is a hard failure, not a tolerance
+// question. At this scale 19 of the 25 simulated series lose cells, so
+// drift that leaves zero-loss points at zero has few zeros to hide
+// behind.
 package repro_test
 
 import (
@@ -14,20 +16,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// kernelTinyConfig reproduces the run that captured
-// results/golden/kernel_tiny.jsonl:
+// goldenConfig reproduces the run that captured
+// results/golden/manifest.jsonl:
 //
-//	repro -exp fig8,fig9,fig10 -reps 1 -frames 400 -seed 1996
+//	repro -exp fig8,fig9,fig10,extloop -reps 2 -frames 1000 -seed 1996
 //
-// Results are bit-identical for every worker count, so Workers is pinned
-// to 1 only for scheduling economy.
-var kernelTinyConfig = experiments.SimConfig{Reps: 1, Frames: 400, Seed: 1996, Workers: 1}
+// Results are bit-identical for every worker count, so Workers keeps the
+// default of one worker per CPU.
+var goldenConfig = experiments.SimConfig{Reps: 2, Frames: 1000, Seed: 1996}
 
 func TestLindleyKernelGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	man, err := telemetry.ReadManifest("results/golden/kernel_tiny.jsonl")
+	man, err := telemetry.ReadManifest("results/golden/manifest.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,44 +37,41 @@ func TestLindleyKernelGolden(t *testing.T) {
 	for _, r := range man.Results {
 		want[r.ID] = r
 	}
-	if len(want) != 5 {
-		t.Fatalf("baseline has %d results, want 5 (fig8a,fig8b,fig9a,fig9b,fig10)", len(want))
+	if len(want) != 6 {
+		t.Fatalf("golden has %d results, want 6 (fig8a,fig8b,fig9a,fig9b,fig10,extloop)", len(want))
 	}
 
 	var got []*experiments.Result
-	fig8, err := experiments.Fig8(kernelTinyConfig)
-	if err != nil {
-		t.Fatal(err)
+	for _, run := range []func(experiments.SimConfig) ([]*experiments.Result, error){
+		experiments.Fig8,
+		experiments.Fig9,
+		one(experiments.Fig10),
+		one(experiments.ExtClosedLoop),
+	} {
+		rs, err := run(goldenConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rs...)
 	}
-	fig9, err := experiments.Fig9(kernelTinyConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig10, err := experiments.Fig10(kernelTinyConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, fig8...)
-	got = append(got, fig9...)
-	got = append(got, fig10)
 
 	if len(got) != len(want) {
-		t.Fatalf("regenerated %d results, baseline has %d", len(got), len(want))
+		t.Fatalf("regenerated %d results, golden has %d", len(got), len(want))
 	}
 	for _, r := range got {
 		base, ok := want[r.ID]
 		if !ok {
-			t.Errorf("%s: not in baseline", r.ID)
+			t.Errorf("%s: not in golden", r.ID)
 			continue
 		}
 		if len(r.Series) != len(base.Series) {
-			t.Errorf("%s: %d series, baseline has %d", r.ID, len(r.Series), len(base.Series))
+			t.Errorf("%s: %d series, golden has %d", r.ID, len(r.Series), len(base.Series))
 			continue
 		}
 		for i, s := range r.Series {
 			bs := base.Series[i]
 			if s.Label != bs.Label {
-				t.Errorf("%s series %d: label %q, baseline %q", r.ID, i, s.Label, bs.Label)
+				t.Errorf("%s series %d: label %q, golden %q", r.ID, i, s.Label, bs.Label)
 				continue
 			}
 			compareExact(t, r.ID, s.Label, "x", s.X, bs.X)
@@ -83,18 +82,28 @@ func TestLindleyKernelGolden(t *testing.T) {
 	}
 }
 
+// one adapts a single-result driver to the multi-result signature.
+func one(f func(experiments.SimConfig) (*experiments.Result, error)) func(experiments.SimConfig) ([]*experiments.Result, error) {
+	return func(cfg experiments.SimConfig) ([]*experiments.Result, error) {
+		r, err := f(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return []*experiments.Result{r}, nil
+	}
+}
+
 // compareExact demands bit-equality (rtol 0): encoding/json round-trips
-// float64 exactly, so the committed baseline carries the full-precision
-// pre-refactor values.
+// float64 exactly, so the committed golden carries full-precision values.
 func compareExact(t *testing.T, id, label, field string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Errorf("%s %s %s: %d values, baseline has %d", id, label, field, len(got), len(want))
+		t.Errorf("%s %s %s: %d values, golden has %d", id, label, field, len(got), len(want))
 		return
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("%s %s %s[%d]: %v != baseline %v (kernel drift)",
+			t.Errorf("%s %s %s[%d]: %v != golden %v (drift)",
 				id, label, field, i, got[i], want[i])
 		}
 	}

@@ -1,7 +1,7 @@
 // Package analysis is the repository's static-analysis framework: a
 // deliberately small, dependency-free mirror of the
 // golang.org/x/tools/go/analysis API (Analyzer, Pass, Diagnostic) plus
-// the eight analyzers that encode this codebase's determinism and
+// the seven analyzers that encode this codebase's determinism and
 // observability invariants. The toolchain image carries no module cache,
 // so rather than vendoring x/tools (~10k files) the framework is built
 // directly on the standard library's go/ast, go/parser and go/types; the
@@ -22,9 +22,6 @@
 //     literal zero or under an explicit waiver.
 //   - pprofimport: net/http/pprof linked nowhere; runtime/pprof linked
 //     only via internal/telemetry/prof.
-//   - proflabels:  runtime/pprof's goroutine-label API called only in
-//     internal/telemetry/prof, and literal label keys drawn only from
-//     the fixed set figure/sweep_point/model/path/lane.
 //   - seedflow:    every seed handed to randx.NewRand, randx.NewStream or
 //     a generator constructor is data-flow-reachable from internal/seed, a
 //     caller-supplied parameter, a Seed config field or a flag — an

@@ -40,12 +40,12 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
-// TestSuiteRegistersEightAnalyzers pins the suite's contents: DESIGN.md
-// §11 documents exactly these eight invariants. This list is the single
+// TestSuiteRegistersSevenAnalyzers pins the suite's contents: DESIGN.md
+// §11 documents exactly these seven invariants. This list is the single
 // source of truth for the suite contract; cmd/repolint's tests derive
 // their expectations from analysis.All() rather than repeating it.
-func TestSuiteRegistersEightAnalyzers(t *testing.T) {
-	want := []string{"rngsource", "walltime", "maporder", "printguard", "floateq", "pprofimport", "proflabels", "seedflow"}
+func TestSuiteRegistersSevenAnalyzers(t *testing.T) {
+	want := []string{"rngsource", "walltime", "maporder", "printguard", "floateq", "pprofimport", "seedflow"}
 	all := analysis.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))

@@ -14,7 +14,6 @@ var registry = []*Analyzer{
 	PrintGuard,
 	FloatEq,
 	PprofImport,
-	ProfLabels,
 	SeedFlow,
 }
 

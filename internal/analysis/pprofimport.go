@@ -14,9 +14,9 @@ import (
 //   - runtime/pprof: internal/telemetry/prof owns the process-wide CPU
 //     profiler through StartCPUProfile (which fails if a second caller
 //     starts it, as -cpuprofile does once per run) and the fixed label
-//     key set (see the proflabels analyzer); ad-hoc profile captures
-//     elsewhere would fight -cpuprofile for the single profiler or
-//     attach labels outside the key set.
+//     key set (prof.Labels); ad-hoc profile captures elsewhere would
+//     fight -cpuprofile for the single profiler or attach labels outside
+//     the key set.
 var restrictedImports = []struct {
 	path  string
 	owner string

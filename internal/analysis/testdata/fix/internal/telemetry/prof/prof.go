@@ -1,8 +1,6 @@
 // Package prof stands in for the real internal/telemetry/prof: the one
-// package allowed to import runtime/pprof and call its label API, so
-// pprofimport and proflabels stay silent on the calls themselves. The
-// fixed-key rule still applies under this tree — the badkey subpackage
-// shows a constant key outside the set being caught even in the owner.
+// package allowed to import runtime/pprof, so pprofimport stays silent
+// on it.
 package prof
 
 import (
@@ -12,15 +10,7 @@ import (
 
 const KeyFigure = "figure"
 
-// Do mirrors the real wrapper: named Key* constants resolve to fixed
-// keys through the type checker, so no finding.
+// Do mirrors the real wrapper over pprof's label API.
 func Do(ctx context.Context, figure string, f func(context.Context)) {
 	pprof.Do(ctx, pprof.Labels(KeyFigure, figure), f)
-}
-
-// WithPairs mirrors the spread form the real package uses: keys are not
-// compile-time constants, so the analyzer trusts the typed Labels API
-// that built them.
-func WithPairs(ctx context.Context, pairs []string) context.Context {
-	return pprof.WithLabels(ctx, pprof.Labels(pairs...))
 }

@@ -43,7 +43,6 @@ type Model struct {
 	mean     float64
 	variance float64
 	name     string
-	acf      func(k int) float64 // nil = exact FGN autocorrelation
 	// BlockLen is the synthesis block length (power of two). Larger blocks
 	// preserve correlation to longer lags at higher memory cost.
 	BlockLen int
@@ -54,35 +53,6 @@ type Model struct {
 	// identical eigenvalues N times.
 	eigMu    sync.Mutex
 	eigCache map[int][]float64
-}
-
-// NewGaussianFromACF builds a stationary Gaussian process with an
-// arbitrary autocorrelation function via the same circulant-embedding
-// synthesis used for FGN. The ACF must be positive semi-definite; small
-// negative circulant eigenvalues from truncation are clamped to zero,
-// which perturbs the law slightly — callers should verify the empirical
-// ACF when using aggressive correlation structures. acf(0) must be 1.
-//
-// This is how package farima synthesises exact F-ARIMA(0,d,0) paths
-// without O(n²) Durbin-Levinson recursions.
-func NewGaussianFromACF(name string, mean, variance float64, acf func(k int) float64) (*Model, error) {
-	if variance <= 0 {
-		return nil, fmt.Errorf("fgn: variance %v must be positive", variance)
-	}
-	if acf == nil {
-		return nil, fmt.Errorf("fgn: nil ACF")
-	}
-	if r0 := acf(0); math.Abs(r0-1) > 1e-12 {
-		return nil, fmt.Errorf("fgn: acf(0) = %v, want 1", r0)
-	}
-	return &Model{
-		H:        0,
-		mean:     mean,
-		variance: variance,
-		name:     name,
-		acf:      acf,
-		BlockLen: DefaultBlockLen,
-	}, nil
 }
 
 // DefaultBlockLen is the synthesis block size used when the caller does not
@@ -124,7 +94,7 @@ func (m *Model) Mean() float64 { return m.mean }
 func (m *Model) Variance() float64 { return m.variance }
 
 // ACF implements traffic.Model: the exact FGN autocorrelation
-// ½∇²(|k|^{2H}), or the custom ACF supplied to NewGaussianFromACF.
+// ½∇²(|k|^{2H}).
 func (m *Model) ACF(k int) float64 {
 	if k < 0 {
 		k = -k
@@ -132,22 +102,12 @@ func (m *Model) ACF(k int) float64 {
 	if k == 0 {
 		return 1
 	}
-	if m.acf != nil {
-		return m.acf(k)
-	}
 	return HalfSecondDiff(k, 2*m.H)
 }
 
 // ACFRange implements traffic.ACFRanger: dst[i] = ACF(from+i), bit for
-// bit, for from ≥ 0. The exact FGN autocorrelation goes through
-// HalfSecondDiffRange; a custom ACF is evaluated lag by lag.
+// bit, for from ≥ 0, through HalfSecondDiffRange.
 func (m *Model) ACFRange(dst []float64, from int) {
-	if m.acf != nil {
-		for i := range dst {
-			dst[i] = m.ACF(from + i)
-		}
-		return
-	}
 	if from == 0 && len(dst) > 0 {
 		dst[0] = 1
 		dst, from = dst[1:], 1

@@ -41,8 +41,7 @@ func TestACFExactForm(t *testing.T) {
 	}
 }
 
-// TestACFRangeBitIdentical holds ACFRange to ACF bit for bit, for the
-// exact FGN autocorrelation and for a custom one.
+// TestACFRangeBitIdentical holds ACFRange to ACF bit for bit.
 func TestACFRangeBitIdentical(t *testing.T) {
 	for _, h := range []float64{0.7, 0.9} {
 		m, err := NewModel(h, 500, 5000)
@@ -51,13 +50,6 @@ func TestACFRangeBitIdentical(t *testing.T) {
 		}
 		traffictest.CheckACFRange(t, m)
 	}
-	custom, err := NewGaussianFromACF("geom", 0, 1, func(k int) float64 {
-		return math.Pow(0.9, math.Abs(float64(k)))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traffictest.CheckACFRange(t, custom)
 }
 
 func TestACFWhiteNoiseCase(t *testing.T) {

@@ -5,10 +5,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/farima"
 	"repro/internal/fgn"
 	"repro/internal/mginf"
-	"repro/internal/mmpp"
 	"repro/internal/seed"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -27,8 +25,8 @@ import (
 //
 // The oracle is a 99% test as a whole. Each of its N unpinned cells is
 // held at level 1 − 1%/N (Bonferroni), so a correct generator fails it
-// with probability at most 1%; at a per-cell 99% level, 44 cells would
-// fail one by chance about a third of the time.
+// with probability at most 1%; at a per-cell 99% level, 36 cells would
+// fail one by chance about 30% of the time.
 const (
 	oracleFrames = 1000 // frames per replication; one block at m = 1000
 	oracleAlpha  = 0.01 // family-wise error rate
@@ -106,19 +104,14 @@ func oracleFamilies(t *testing.T) []oracleFamily {
 	}
 	fams = append(fams, oracleFamily{"L", must(NewL()), 800})
 
-	// The ExtSubstrates instances at H = 0.9 with the standard moments,
-	// plus the F-ARIMA and MMPP sources of modelspec. The Gaussian
-	// synthesisers run 1024-frame exact blocks, so each replication is one
+	// The ExtSubstrates instances at H = 0.9 with the standard moments.
+	// FGN synthesizes 1024-frame exact blocks, so each replication is one
 	// exact block.
 	fg := must(fgn.NewModel(0.9, Mean, Variance)).(*fgn.Model)
 	fg.BlockLen = 1024
-	fa := must(farima.New(0.4, Mean, Variance)).(*farima.Model)
-	fa.BlockLen = 1024
 	fams = append(fams,
 		oracleFamily{"FGN(H=0.9)", fg, 800},
 		oracleFamily{"M/G/inf(H=0.9)", must(mginf.NewFromMoments(Mean, Variance, 0.9, Ts, Ts)), 800},
-		oracleFamily{"MMPP2(a=0.9)", must(mmpp.Fit(Mean, Variance, 0.9, Ts)), 800},
-		oracleFamily{"F-ARIMA(d=0.4)", fa, 800},
 	)
 	if oracleShort() {
 		// An eighth of the replications, without V^1.5 (fams[0]).

@@ -11,9 +11,6 @@
 //	mginf:<H>    M/G/∞ (Cox) source with the standard moments
 //	mpeg:<a>     MPEG GOP-modulated Z^a with the typical I:P:B = 5:3:1
 //	             pattern
-//	farima:<d>   fractional ARIMA(0,d,0) with the standard marginal
-//	mmpp:<a>     symmetric 2-state MMPP with the standard moments and
-//	             geometric ACF decay ratio a
 //	aimd:<spec>  closed-loop AIMD rate controller wrapped around any other
 //	             spec, e.g. aimd:z:0.975 — sources adapt frame sizes to
 //	             multiplexer feedback (default controller parameters)
@@ -26,10 +23,8 @@ import (
 	"strings"
 
 	"repro/internal/dar"
-	"repro/internal/farima"
 	"repro/internal/fgn"
 	"repro/internal/mginf"
-	"repro/internal/mmpp"
 	"repro/internal/models"
 	"repro/internal/traffic"
 )
@@ -93,18 +88,6 @@ func Parse(spec string) (traffic.Model, error) {
 			return nil, err
 		}
 		return fgn.NewModel(h, models.Mean, models.Variance)
-	case "farima":
-		d, err := oneArg(parts, "farima:<d>")
-		if err != nil {
-			return nil, err
-		}
-		return farima.New(d, models.Mean, models.Variance)
-	case "mmpp":
-		a, err := oneArg(parts, "mmpp:<a>")
-		if err != nil {
-			return nil, err
-		}
-		return mmpp.Fit(models.Mean, models.Variance, a, models.Ts)
 	case "mginf":
 		h, err := oneArg(parts, "mginf:<H>")
 		if err != nil {

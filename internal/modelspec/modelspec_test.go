@@ -16,8 +16,6 @@ func TestParseValid(t *testing.T) {
 		"fgn:0.9":          "FGN(H=0.9)",
 		"mginf:0.9":        "M/G/inf(γ=1.2)",
 		"mpeg:0.9":         "MPEG[Z^0.9]",
-		"farima:0.4":       "F-ARIMA(d=0.4)",
-		"mmpp:0.9":         "MMPP2(a=0.9)",
 		" Z:0.7 ":          "Z^0.7", // case and whitespace insensitive
 		"aimd:z:0.975":     "AIMD[Z^0.975]",
 		"aimd:dar:0.975:1": "AIMD[DAR(1)[Z^0.975]]", // nested specs keep their colons

@@ -39,7 +39,7 @@ var (
 // time, so the per-chunk working set — one aggregate buffer plus one
 // scratch buffer — stays L2-resident while amortising the per-frame
 // interface dispatch of the scalar traffic.Generator protocol over whole
-// blocks. Generators with a native Fill (fgn/farima block synthesis,
+// blocks. Generators with a native Fill (fgn block synthesis,
 // trace replay) additionally amortise or eliminate their own per-frame
 // overhead.
 const chunkFrames = 4096

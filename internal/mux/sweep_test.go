@@ -305,7 +305,6 @@ func TestDrawVersions(t *testing.T) {
 		"aimd:z:0.975": "fbndp.2+dar.2",
 		"fgn:0.9":      "fgn.1",
 		"mginf:0.9":    "mginf.1",
-		"mmpp:0.9":     "mmpp.1",
 	} {
 		m, err := modelspec.Parse(spec)
 		if err != nil {

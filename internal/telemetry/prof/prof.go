@@ -12,8 +12,9 @@
 //     goroutine labels drawn from a FIXED key set — figure, sweep_point,
 //     model, path, lane — so every CPU sample the Go profiler takes is
 //     attributable to an experiment coordinate. The key set is closed on
-//     purpose: an ad-hoc key would fragment attribution (the proflabels
-//     analyzer in internal/analysis enforces this at lint time).
+//     purpose: an ad-hoc key would fragment attribution. Labels is a
+//     struct, so no caller can name another key, and the pprofimport
+//     analyzer keeps runtime/pprof's label API inside this package.
 //
 //  2. StartCPUProfile: the -cpuprofile flag of repro and atmsim. The
 //     profile is a standard gzipped pprof file, so `go tool pprof -top`,
@@ -56,9 +57,10 @@ const (
 	KeyLane = "lane"
 )
 
-// Keys lists the fixed label key set in display order. The proflabels
-// analyzer (internal/analysis) rejects any literal pprof label key
-// outside this set.
+// Keys lists the fixed label key set in display order. Two guards keep
+// every emitted key in it: the pprofimport analyzer (internal/analysis)
+// keeps runtime/pprof, and so its label API, inside this package, and
+// TestPairsCoverKeys checks that Labels emits exactly these keys.
 var Keys = []string{KeyFigure, KeySweepPoint, KeyModel, KeyPath, KeyLane}
 
 // Labels is the typed form of the fixed key set: the only way this

@@ -235,20 +235,21 @@ func (d durations) sample(s *randx.Stream) float64 {
 	return d.a * zigguratFor(d.gamma).draw(s)
 }
 
-// checkKS draws n samples with draw and checks them with checkKSSample.
+// checkKS draws n samples with draw and checks them with checkKSSample
+// at level 1%.
 func checkKS(t *testing.T, name string, n int, draw func() float64, cdf func(float64) float64) {
 	t.Helper()
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = draw()
 	}
-	checkKSSample(t, name, xs, cdf)
+	checkKSSample(t, name, xs, cdf, 0.01)
 }
 
 // checkKSSample sorts xs and fails when their Kolmogorov–Smirnov
-// statistic D = sup |F_n − F| against cdf exceeds the asymptotic 1%
-// critical value √(−ln(0.005)/2)/√n.
-func checkKSSample(t *testing.T, name string, xs []float64, cdf func(float64) float64) {
+// statistic D = sup |F_n − F| against cdf exceeds the asymptotic critical
+// value √(−ln(level/2)/2)/√n for the given level.
+func checkKSSample(t *testing.T, name string, xs []float64, cdf func(float64) float64, level float64) {
 	t.Helper()
 	n := len(xs)
 	sort.Float64s(xs)
@@ -257,8 +258,8 @@ func checkKSSample(t *testing.T, name string, xs []float64, cdf func(float64) fl
 		f := cdf(x)
 		d = math.Max(d, math.Max(float64(i+1)/float64(n)-f, f-float64(i)/float64(n)))
 	}
-	if crit := math.Sqrt(-math.Log(0.005)/2) / math.Sqrt(float64(n)); d > crit {
-		t.Errorf("%s: KS D = %.5f over %d draws exceeds the 1%% critical value %.5f", name, d, n, crit)
+	if crit := math.Sqrt(-math.Log(level/2)/2) / math.Sqrt(float64(n)); d > crit {
+		t.Errorf("%s: KS D = %.5f over %d draws exceeds the %.3g%% critical value %.5f", name, d, n, 100*level, crit)
 	}
 }
 

@@ -164,6 +164,15 @@ func BenchmarkGenV15(b *testing.B) {
 	benchGenerator(b, v)
 }
 
+// BenchmarkGenV067 measures V^0.67, the third V^v of Fig 8a.
+func BenchmarkGenV067(b *testing.B) {
+	v, err := models.NewV(0.67)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchGenerator(b, v)
+}
+
 func BenchmarkGenL(b *testing.B) {
 	l, err := models.NewL()
 	if err != nil {

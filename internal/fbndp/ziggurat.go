@@ -30,10 +30,24 @@ const zigLayers = 256
 //
 // A draw maps one Uint64 through layer: its low 8 bits pick the layer
 // and its top 53 bits the abscissa. An abscissa below the layer's inner
-// edge is the duration, so most draws take one Uint64; only the rest,
-// in redraw, draw again and call exp or pow. The low bits of the
-// additive lagged-Fibonacci stream obey their own recurrence; DESIGN
-// (FBNDP, "The layer's bits") says what that does and does not touch.
+// edge is the duration, so most draws take one Uint64; only the rest, in
+// redraw, draw again. The low bits of the additive lagged-Fibonacci
+// stream obey their own recurrence; DESIGN (FBNDP, "The layer's bits")
+// says what that does and does not touch.
+//
+// A wedge point (x, y) is kept if y < f(x), and squeeze settles that
+// without exp or pow for almost every point. f is convex on [0, 1] and on
+// [1, ∞), so on a layer lying wholly on one side of x = 1 it lies under
+// the chord through the wedge's two corners and above the tangents at
+// both. At x = 1 its slope steepens from −γ·f(1) to −(γ+1)·f(1), a
+// concave kink, so the one layer whose wedge straddles 1 gets no squeeze.
+// Each bound is taken with a relative margin of squeezeTol, far wider
+// than the few ulps by which the tables, the bounds' arithmetic and
+// density itself miss f; a point the squeeze settles therefore gets the
+// answer y < density(x) would give, and the durations are those the bare
+// test draws, bit for bit. Points inside the margins fall through to
+// density. About 0.3% of draws still call exp or pow: the wedge points
+// left to density, and the base layer's tail.
 //
 // The tables depend on γ = 2−α alone. For every α in (0, 1) the closing r
 // exceeds 1, so the tail beyond r is the pure Pareto part of f.
@@ -43,7 +57,13 @@ type ziggurat struct {
 	v     float64 // area of every layer
 	x     [zigLayers + 1]float64
 	f     [zigLayers + 1]float64 // f(x[i]); f[0] is unused
+	d     [zigLayers + 1]float64 // f′(x[i]), from the left at x = 1; d[0] is unused
+	s     [zigLayers]float64     // slope of layer i's chord; s[0] is unused
+	kink  uint64                 // the layer whose wedge straddles x = 1
 }
+
+// squeezeTol is the relative margin of the squeeze's bounds.
+const squeezeTol = 1e-9
 
 // layer maps one Uint64 to a layer i and an abscissa x uniform on
 // [0, x[i]).
@@ -75,13 +95,34 @@ func (z *ziggurat) redraw(s *randx.Stream, i uint64, x float64) float64 {
 			return z.x[1] * math.Pow(float64(s.Uint64()>>11+1)*0x1p-53, -1/z.gamma)
 		}
 		y := z.f[i] + float64(s.Uint64()>>11)*0x1p-53*(z.f[i+1]-z.f[i])
-		if y < z.density(x) {
+		under, ok := z.squeeze(i, x, y)
+		if !ok {
+			under = y < z.density(x)
+		}
+		if under {
 			return x
 		}
 		if i, x = z.layer(s.Uint64()); x < z.x[i+1] {
 			return x
 		}
 	}
+}
+
+// squeeze decides y < f(x) for a point (x, y) in the wedge of layer i ≥ 1
+// from the chord and the tangents. ok is false when the point lies in
+// the kink layer or within the margins, and the caller must ask density.
+func (z *ziggurat) squeeze(i uint64, x, y float64) (under, ok bool) {
+	if i == z.kink {
+		return false, false
+	}
+	l, r := x-z.x[i+1], x-z.x[i]
+	if y > (z.f[i+1]+z.s[i]*l)*(1+squeezeTol) {
+		return false, true
+	}
+	if y < (z.f[i+1]+z.d[i+1]*l)*(1-squeezeTol) || y < (z.f[i]+z.d[i]*r)*(1-squeezeTol) {
+		return true, true
+	}
+	return false, false
 }
 
 // density returns f(x) for x ≥ 0.
@@ -141,6 +182,18 @@ func newZiggurat(gamma float64) *ziggurat {
 	if math.Abs(z.stack(lo)) < math.Abs(z.stack(hi)) {
 		z.stack(lo)
 	}
+	// The squeeze's slopes: f′ at every edge, the chord of every layer.
+	for i := 1; i <= zigLayers; i++ {
+		if z.d[i] = -z.gamma * z.f[i]; z.x[i] > 1 {
+			z.d[i] = -(z.gamma + 1) * z.f[i] / z.x[i]
+		}
+		if i < zigLayers {
+			z.s[i] = (z.f[i] - z.f[i+1]) / (z.x[i] - z.x[i+1])
+			if z.x[i+1] <= 1 && 1 < z.x[i] {
+				z.kink = uint64(i)
+			}
+		}
+	}
 	return z
 }
 
@@ -149,7 +202,7 @@ func newZiggurat(gamma float64) *ziggurat {
 // or ACF, so the analytic paths, which construct hundreds of models,
 // build none. The cache is process-wide rather than per model because
 // the figures build one model per series: Figs 8 and 9 make ten FBNDP
-// models over three γ, and a build takes ≈ 1.7 ms. A table is ≈ 4 KiB
+// models over three γ, and a build takes ≈ 1.7 ms. A table is ≈ 8 KiB
 // and is never written after it is built.
 var ziggurats sync.Map
 

@@ -200,6 +200,16 @@ func BenchmarkGenDAR1(b *testing.B) { benchDARFit(b, 1) }
 
 func BenchmarkGenDAR3(b *testing.B) { benchDARFit(b, 3) }
 
+// BenchmarkGenDAR1Long measures the DAR(1) half of Z^0.975, ρ = 0.975,
+// where most runs outlast the p = 1 path's 16-frame store.
+func BenchmarkGenDAR1Long(b *testing.B) {
+	z, err := models.NewZ(0.975)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchGenerator(b, z.Y)
+}
+
 func BenchmarkGenFGN(b *testing.B) {
 	f, err := fgn.NewModel(0.9, 500, 5000)
 	if err != nil {

@@ -18,8 +18,8 @@
 // Generators draw the path run by run rather than frame by frame: the
 // repeats between two innovations are Geometric(1−ρ), so one uniform per
 // run replaces the Bernoulli(ρ) test of every frame. At p = 1 a run is
-// the held value written K times; at p > 1 each repeat still draws its
-// lag A_n.
+// the innovation and its K repeats, written together; at p > 1 each
+// repeat still draws its lag A_n.
 //
 // The package also provides the fitting procedure used for the paper's
 // model S: given the first p autocorrelations of a target process, solve
@@ -66,9 +66,10 @@ func GaussianMarginal(mean, variance float64) Marginal {
 // by NewGenerator are not safe for concurrent use (one per goroutine).
 type Process struct {
 	rho      float64
-	a        []float64 // selection probabilities, length p, sum 1
-	cumA     []float64 // cumulative sums of a for inverse sampling
-	runPow   []float64 // ρ^1 … ρ^n, n ≤ runCap: P(run ≥ k) = ρ^k
+	a        []float64       // selection probabilities, length p, sum 1
+	cumA     []float64       // cumulative sums of a for inverse sampling
+	runPow   []float64       // ρ^1 … ρ^n, n ≤ runCap: P(run ≥ k) = ρ^k
+	guide    [guideLen]uint8 // guide[j] = #{k : ρ^k ≥ (j+1)/guideLen}
 	marginal Marginal
 	name     string
 
@@ -123,6 +124,13 @@ func New(rho float64, a []float64, marginal Marginal) (*Process, error) {
 	for pw := rho; pw > 0 && len(p.runPow) < runCap; pw *= rho {
 		p.runPow = append(p.runPow, pw)
 	}
+	k := len(p.runPow)
+	for j := range p.guide {
+		for k > 0 && p.runPow[k-1] < float64(j+1)/guideLen {
+			k--
+		}
+		p.guide[j] = uint8(k)
+	}
 	return p, nil
 }
 
@@ -131,12 +139,22 @@ func New(rho float64, a []float64, marginal Marginal) (*Process, error) {
 // no memory.
 const runCap = 64
 
+// guideLen is the number of equal buckets of [0, 1) the guide table
+// splits u into.
+const guideLen = 256
+
 // runLength maps a uniform u to the repeats before the next innovation,
 // K = #{k ≥ 1 : u < ρ^k}, so P(K ≥ k) = ρ^k: Geometric(1−ρ) on
 // {0, 1, …}. When u falls below ρ^runCap it returns runCap with more
 // set; the run's remainder is then a fresh draw of the same law, which
 // is exact because the geometric law is memoryless.
+//
+// The scan starts at the guide entry of u's bucket [j, j+1)/guideLen:
+// u < (j+1)/guideLen ≤ ρ^k for every k it skips. u·guideLen is exact, a
+// power-of-two scaling, so the bucket is too, and K is the plain count
+// for every u.
 func (p *Process) runLength(u float64) (k int, more bool) {
+	k = int(p.guide[int(u*guideLen)])
 	for k < len(p.runPow) && u < p.runPow[k] {
 		k++
 	}
@@ -332,12 +350,72 @@ func (g *generator) NextFrame() float64 {
 	return v[0]
 }
 
-// Fill implements traffic.BlockGenerator. Each pass writes the repeats
-// the current run still owes, then either innovates and draws the next
-// run's length or, past the table, draws the rest of the run. The draws
-// depend on the frame sequence alone, so any split into Fill calls, or
-// NextFrame calls, yields the same path bit for bit.
+// Fill implements traffic.BlockGenerator. The draws depend on the frame
+// sequence alone, so any split into Fill calls, or NextFrame calls,
+// yields the same path bit for bit.
 func (g *generator) Fill(dst []float64) {
+	if len(g.ring) == 1 {
+		g.fill1(dst)
+		return
+	}
+	g.fillP(dst)
+}
+
+// runStore is the width of fill1's fixed store. A run of at most
+// runStore frames is one store of that many copies; the next run
+// overwrites the excess. runCap ≥ runStore (checked below), so such a
+// run never outlasts the ρ^k table.
+const runStore = 16
+
+const _ = uint(runCap - runStore)
+
+// fill1 is Fill at p = 1, run by run on locals: the held value v, the
+// repeats it still owes and whether the run outlasted the table. An
+// innovation and its K repeats are written together.
+func (g *generator) fill1(dst []float64) {
+	p, src, rng := g.p, g.src, g.rng
+	v, owed, more := g.ring[0], g.owed, g.more
+	for i := 0; ; {
+		// Write the repeats owed, drawing on past the table while more.
+		for {
+			rest := dst[i:]
+			if owed >= len(rest) {
+				for j := range rest {
+					rest[j] = v
+				}
+				g.ring[0], g.owed, g.more = v, owed-len(rest), more
+				return
+			}
+			rep := rest[:owed]
+			for j := range rep {
+				rep[j] = v
+			}
+			if i += owed; !more {
+				break
+			}
+			owed, more = p.runLength(src.Float64())
+		}
+		// Innovate. Here i < len(dst), and a store leaves it so.
+		for {
+			v = p.marginal.Sample(rng)
+			owed, more = p.runLength(src.Float64())
+			if owed >= runStore || len(dst)-i <= runStore {
+				break
+			}
+			b := (*[runStore]float64)(dst[i:])
+			b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7] = v, v, v, v, v, v, v, v
+			b[8], b[9], b[10], b[11], b[12], b[13], b[14], b[15] = v, v, v, v, v, v, v, v
+			i += owed + 1
+		}
+		dst[i] = v
+		i++
+	}
+}
+
+// fillP is Fill at p > 1. Each pass writes the repeats the current run
+// still owes, then either innovates and draws the next run's length or,
+// past the table, draws the rest of the run.
+func (g *generator) fillP(dst []float64) {
 	for i := 0; i < len(dst); {
 		if g.owed == 0 {
 			if !g.more {
@@ -356,18 +434,11 @@ func (g *generator) Fill(dst []float64) {
 	}
 }
 
-// repeat writes len(dst) repeats. At p = 1 every repeat is the held
-// value; at p > 1 each frame draws its lag A, P(A = i) = a_i, reads it
-// from the ring and becomes the most recent value.
+// repeat writes len(dst) repeats at p > 1: each frame draws its lag A,
+// P(A = i) = a_i, reads it from the ring and becomes the most recent
+// value.
 func (g *generator) repeat(dst []float64) {
 	ring := g.ring
-	if len(ring) == 1 {
-		v := ring[0]
-		for i := range dst {
-			dst[i] = v
-		}
-		return
-	}
 	cumA, head := g.p.cumA, g.head
 	for i := range dst {
 		u := g.src.Float64()

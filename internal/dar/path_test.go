@@ -57,21 +57,36 @@ func TestFillPathPinned(t *testing.T) {
 }
 
 // TestFillMatchesNextFrame holds Fill to repeated NextFrame calls bit for
-// bit at orders 1 to 3 and fill lengths 1, 7 and 4096, so the block path
-// and the per-frame path consume the stream identically.
+// bit, so the block path and the per-frame path consume the stream
+// identically. It runs the Z^0.975 fits at orders 1 to 3 and DAR(1) at
+// ρ = 0.975 and 0.99, whose runs outlast the p = 1 fixed store, run past
+// the ρ^k table and cross Fill calls. The fill lengths sit on each side
+// of that store's 16-frame width and of twice it, and each length fills
+// at least 2¹⁶ frames, so short runs also start at every slot near the
+// end of dst.
 func TestFillMatchesNextFrame(t *testing.T) {
+	var procs []*dar.Process
 	for p := 1; p <= 3; p++ {
-		s := zFit(t, p)
-		for _, n := range []int{1, 7, 4096} {
+		procs = append(procs, zFit(t, p))
+	}
+	for _, rho := range []float64{0.975, 0.99} {
+		s, err := dar.NewDAR1(rho, dar.GaussianMarginal(500, 5000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs = append(procs, s)
+	}
+	for _, s := range procs {
+		for _, n := range []int{1, 7, 15, 16, 17, 31, 33, 4096} {
 			block := s.NewGenerator(7).(traffic.BlockGenerator)
 			scalar := s.NewGenerator(7)
 			dst := make([]float64, n)
-			for round := 0; round < 3; round++ {
+			for round := 0; round < max(3, 1<<16/n); round++ {
 				block.Fill(dst)
 				for i, got := range dst {
 					want := scalar.NextFrame()
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("DAR(%d) n=%d round %d frame %d: Fill %v, NextFrame %v", p, n, round, i, got, want)
+						t.Fatalf("DAR(%d) ρ = %v n=%d round %d frame %d: Fill %v, NextFrame %v", s.Order(), s.Rho(), n, round, i, got, want)
 					}
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/randx"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -111,6 +112,46 @@ func TestRunLengthEdges(t *testing.T) {
 		}
 		if g.owed > runCap || !g.more {
 			t.Fatalf("ρ = 1−1e-9: round %d owes %d repeats (more %v), want ≤ %d and more", round, g.owed, g.more, runCap)
+		}
+	}
+}
+
+// TestRunLengthGuideExact holds the guide-table scan to the plain count
+// K = #{k : u < ρ^k} over the table, at every bucket edge j/256 and every
+// ρ^k, each ±1 ulp, and at 10⁶ stream uniforms, across ρ from 0 to one
+// past the table's reach.
+func TestRunLengthGuideExact(t *testing.T) {
+	for _, rho := range []float64{0, 0.3, 0.5, 0.821, 0.975, 0.99, 1 - 0x1p-20} {
+		p, err := NewDAR1(rho, gauss())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(u float64) {
+			if !(u >= 0 && u < 1) {
+				return
+			}
+			want := 0
+			for want < len(p.runPow) && u < p.runPow[want] {
+				want++
+			}
+			if k, more := p.runLength(u); k != want || more != (want == runCap) {
+				t.Fatalf("ρ = %v, u = %v: runLength = %d (more %v), plain count %d", rho, u, k, more, want)
+			}
+		}
+		near := func(x float64) {
+			check(math.Nextafter(x, 0))
+			check(x)
+			check(math.Nextafter(x, 1))
+		}
+		for j := 0; j <= guideLen; j++ {
+			near(float64(j) / guideLen)
+		}
+		for _, pw := range p.runPow {
+			near(pw)
+		}
+		src := randx.NewStream(1996)
+		for range 1_000_000 {
+			check(src.Float64())
 		}
 	}
 }

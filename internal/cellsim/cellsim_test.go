@@ -112,6 +112,7 @@ func TestSaturatingSourceHandled(t *testing.T) {
 }
 
 func TestAgreesWithFluidModel(t *testing.T) {
+	t.Parallel()
 	// The central cross-check: at the paper's operating point the
 	// cell-granular CLR must match the fluid Lindley CLR within cell-
 	// quantisation effects (same seeds, same arrival statistics).
@@ -147,6 +148,7 @@ func TestAgreesWithFluidModel(t *testing.T) {
 }
 
 func TestIIDGaussianZeroBufferNearFluid(t *testing.T) {
+	t.Parallel()
 	p, err := dar.NewDAR1(0, dar.GaussianMarginal(500, 5000))
 	if err != nil {
 		t.Fatal(err)

@@ -37,6 +37,7 @@ func TestFrameLossNoLossUnderload(t *testing.T) {
 }
 
 func TestFrameLossMatchesCellRunCounts(t *testing.T) {
+	t.Parallel()
 	// Same configuration and seed: RunFrameLoss must reproduce Run's
 	// cell-level accounting exactly (same arrival stream, same queue
 	// discipline).
@@ -65,6 +66,7 @@ func TestFrameLossMatchesCellRunCounts(t *testing.T) {
 }
 
 func TestFrameLossAmplification(t *testing.T) {
+	t.Parallel()
 	// The headline QOS fact: the frame damage ratio exceeds the cell loss
 	// ratio by far, bounded by cells-per-frame.
 	z, err := models.NewZ(0.975)

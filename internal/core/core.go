@@ -113,12 +113,22 @@ const DefaultMaxM = 4 << 20
 // with f = [b + m(c−μ)]², along with the rate function value. maxM ≤ 0
 // selects DefaultMaxM.
 //
-// The scan is safe to terminate early because V(m) = o(m²) for any process
-// with r(k) → 0, so the objective diverges; we stop once m is four times
-// past the incumbent minimiser (plus a slack of 64 lags) and the objective
-// has tripled (solver.IntArgminSlack). V(m) is served from the model's
-// shared Moments cache, so repeated CTS calls against one model — buffer
-// sweeps, admission-control searches — cost one ACF walk in total.
+// The scan (solver.IntArgminSlack) stops once m is four times past the
+// incumbent minimiser, plus a slack of 64 lags, and either of two rules
+// fires. The first, for every model, is that the objective has tripled: a
+// heuristic, since V(m) = o(m²) for any process with r(k) → 0 makes the
+// objective diverge, but not necessarily monotonically. The second is a
+// proof, for a model that declares a non-increasing ACF
+// (traffic.NonIncreasingACF): then V(m)/m² does not increase, so
+// F(m) = (c−μ)²m²/2V(m) bounds the objective at every later m from below,
+// and the scan stops once F(m) exceeds the incumbent (ctsFloor). The floor
+// returns the same M and Rate as the tripling rule alone, bit for bit, and
+// ends an LRD model's scan at about 4·m*b rather than hundreds of times
+// past it; Converged then reads true, also where the tripling rule would
+// have run into maxM. V(m) is
+// served from the model's shared Moments cache, so repeated CTS calls
+// against one model — buffer sweeps, admission-control searches — cost
+// one ACF walk in total.
 func CTS(model traffic.Model, op Operating, maxM int) (CTSResult, error) {
 	return CTSMoments(Moments(model), op, maxM)
 }

@@ -63,9 +63,20 @@ func (mix Mix) MeanTotal() float64 {
 	return mu
 }
 
+// acfNonIncreasing reports whether every class declares a non-increasing
+// ACF (traffic.NonIncreasingACF).
+func (mix Mix) acfNonIncreasing() bool {
+	for _, c := range mix {
+		if !traffic.ACFNonIncreasing(c.Model) {
+			return false
+		}
+	}
+	return true
+}
+
 // MixCTS computes the critical time scale and rate function of a
 // heterogeneous multiplex at total capacity totalC (cells/frame) and total
-// buffer totalB (cells).
+// buffer totalB (cells). The scan and its stopping rules are those of CTS.
 func MixCTS(mix Mix, totalC, totalB float64, maxM int) (CTSResult, error) {
 	if err := mix.Validate(); err != nil {
 		return CTSResult{}, err
@@ -87,15 +98,24 @@ func MixCTS(mix Mix, totalC, totalB float64, maxM int) (CTSResult, error) {
 		moms[i] = Moments(c.Model)
 	}
 	drift := totalC - mu
-	obj := func(m int) float64 {
+	varSum := func(m int) float64 {
 		var v float64
 		for i, c := range mix {
 			v += float64(c.Count) * moms[i].VarSum(m)
 		}
-		num := totalB + float64(m)*drift
-		return num * num / (2 * v)
+		return v
 	}
-	best, ok := solver.IntArgminSlack(obj, maxM, 4, 64, 3)
+	obj := func(m int) float64 {
+		num := totalB + float64(m)*drift
+		return num * num / (2 * varSum(m))
+	}
+	// Σ n_j·V_j(m)/m² does not increase when no V_j(m)/m² does, so the
+	// mix takes CTS's floor when every class declares a non-increasing ACF.
+	var floor func(int) float64
+	if mix.acfNonIncreasing() {
+		floor = func(m int) float64 { return ctsFloor(drift, m, varSum(m)) }
+	}
+	best, ok := solver.IntArgminSlack(obj, floor, maxM, 4, 64, 3)
 	return CTSResult{M: best.Arg, Rate: best.Value, Converged: ok}, nil
 }
 

@@ -47,9 +47,9 @@ func Moments(m traffic.Model) *traffic.Moments {
 // extension, so sweeping many operating points against one model costs
 // one ACF walk total. The scan reads V(m) from a traffic.Prefix snapshot
 // and locks the view only to take a longer one. The scan and stopping
-// rule are identical to CTS (growFactor 4, slack 64, stopFactor 3), and
-// the results are bit-identical to the incremental VarianceOfSum
-// evaluation.
+// rule are those of CTS (growFactor 4, slack 64, stopFactor 3, and the
+// floor for a model that declares a non-increasing ACF), and the results
+// are bit-identical to the incremental VarianceOfSum evaluation.
 func CTSMoments(mo *traffic.Moments, op Operating, maxM int) (CTSResult, error) {
 	if err := op.Validate(mo); err != nil {
 		return CTSResult{}, err
@@ -66,9 +66,35 @@ func CTSMoments(mo *traffic.Moments, op Operating, maxM int) (CTSResult, error) 
 		num := op.B + float64(m)*drift
 		return num * num / (2 * pre.VarSum(m))
 	}
-	best, ok := solver.IntArgminSlack(obj, maxM, 4, 64, 3)
+	var floor func(int) float64
+	if mo.ACFNonIncreasing() {
+		floor = func(m int) float64 { return ctsFloor(drift, m, pre.VarSum(m)) }
+	}
+	best, ok := solver.IntArgminSlack(obj, floor, maxM, 4, 64, 3)
 	probeRate.Check(best.Value)
 	return CTSResult{M: best.Arg, Rate: best.Value, Converged: ok}, nil
+}
+
+// floorMargin is the relative headroom ctsFloor leaves for rounding in
+// the computed V(m). For L and for the FBNDP part of Z^a, VarSum(m) stays
+// within 1e-11 relative of the closed form σ²[(1−f)m + f·m^{α+1}] for
+// every m ≤ 2²⁰ (models.TestVarSumRoundingHeadroom; the worst errors
+// measured are 1.3e-12 through 2²⁰ and 3.1e-12 through DefaultMaxM), so
+// a margin of 1e-9 covers the error of both the floor and every later
+// objective value by two orders of magnitude.
+const floorMargin = 1e-9
+
+// ctsFloor is the proven lower bound on the CTS objective's tail, given
+// the drift d = c − μ > 0 and v = V(m). When the ACF does not increase,
+// V(m)/m² does not increase either (DESIGN.md §4), so for every m′ > m
+//
+//	[b + m′d]²/2V(m′) ≥ (b/m′ + d)²·m²/2V(m) ≥ d²m²/2V(m),
+//
+// using b ≥ 0. The bound is returned shrunk by floorMargin, so a scan
+// that stops on it returns what the unbounded scan would, bit for bit.
+func ctsFloor(drift float64, m int, v float64) float64 {
+	x := float64(m) * drift
+	return x * x / (2 * v) * (1 - floorMargin)
 }
 
 // RateFunctionMoments returns I(c,b) alone; see CTSMoments.

@@ -229,6 +229,11 @@ func (p *Process) ACFRange(dst []float64, from int) {
 	}
 }
 
+// ACFNonIncreasing implements traffic.NonIncreasingACF at order 1, where
+// r(k) = ρ^k with 0 ≤ ρ < 1. A higher order is not declared: its ACF can
+// rise, as at ρ = 0.9, a = (0.1, 0.9), where r(2) > r(1).
+func (p *Process) ACFNonIncreasing() bool { return len(p.a) == 1 }
+
 // extendLocked grows the ACF memo through lag k. The recursion decays
 // geometrically, but in floating point it settles on a fixed point: for
 // DAR(1) with ρ > ½, ρ·x rounds back to x once x is the smallest

@@ -188,6 +188,11 @@ func (m *Model) ACF(k int) float64 { return m.P.ACF(k) }
 // ACFRange implements traffic.ACFRanger.
 func (m *Model) ACFRange(dst []float64, from int) { m.P.ACFRange(dst, from) }
 
+// ACFNonIncreasing implements traffic.NonIncreasingACF: ½∇²(k^{α+1})
+// decreases in k for 0 < α < 1, since k^{α+1} has a decreasing second
+// derivative, and r(1) ≤ 2^α − 1 < 1 = r(0).
+func (m *Model) ACFNonIncreasing() bool { return true }
+
 // durations holds the constants of the heavy-tailed ON/OFF duration
 // distribution and samples its equilibrium residual distribution. Fresh
 // durations come from the ziggurat for γ, in units of A.

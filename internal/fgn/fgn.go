@@ -115,6 +115,12 @@ func (m *Model) ACFRange(dst []float64, from int) {
 	HalfSecondDiffRange(dst, from, 2*m.H)
 }
 
+// ACFNonIncreasing implements traffic.NonIncreasingACF: for H ≥ ½ the
+// ACF ½∇²(k^{2H}) is non-negative and decreasing in k (k^{2H} has a
+// non-increasing second derivative). For H < ½ it is negative at lag 1
+// and rises towards 0, so it is not declared.
+func (m *Model) ACFNonIncreasing() bool { return m.H >= 0.5 }
+
 // HalfSecondDiff returns ½∇²(k^e) = ½[(k+1)^e − 2k^e + (k−1)^e] for
 // k ≥ 1: the exact FGN autocorrelation at lag k when e = 2H.
 func HalfSecondDiff(k int, e float64) float64 {

@@ -137,6 +137,10 @@ func (m *Model) ACF(k int) float64 {
 	return math.Pow(t/s0, 1-g) / g
 }
 
+// ACFNonIncreasing implements traffic.NonIncreasingACF: the ACF falls
+// linearly to 1/γ at t = s0 and then as (t/s0)^{1−γ}/γ, γ > 1.
+func (m *Model) ACFNonIncreasing() bool { return true }
+
 // expiryHeap is a min-heap of session expiry times. It is typed rather
 // than built on container/heap, whose interface{} Push and Pop box every
 // float64; push and pop follow container/heap's sift steps exactly, so

@@ -105,6 +105,13 @@ func (c *Composite) ACFRange(dst []float64, from int) {
 	}
 }
 
+// ACFNonIncreasing implements traffic.NonIncreasingACF when both
+// components declare it: a mixture with non-negative weights of two
+// non-increasing ACFs does not increase.
+func (c *Composite) ACFNonIncreasing() bool {
+	return c.X.ACFNonIncreasing() && c.Y.ACFNonIncreasing()
+}
+
 // mixACF is the variance-weighted mixture (vx·rx + vy·ry)/(vx + vy).
 // The conversion rounds vy·ry on its own, as ACFRange does, so no
 // platform fuses it into the sum.

@@ -80,3 +80,46 @@ func TestDAR1VarSumClosedForm(t *testing.T) {
 		})
 	}
 }
+
+// TestVarSumRoundingHeadroom checks VarSum against the FBNDP closed form
+// σ²[(1−f)m + f·m^{α+1}] at every m ≤ 2²⁰, for L and for Z^a's FBNDP
+// part, at relative tolerance 1e-11. That bound on V(m)'s rounding is
+// what lets the CTS scan's floor (core.CTS) run with a margin of 1e-9:
+// a floor and a later objective value can each be off by no more than
+// the V(m) they read.
+func TestVarSumRoundingHeadroom(t *testing.T) {
+	z, err := NewZ(0.975)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxM = 1 << 20
+	for _, tc := range []struct {
+		name string
+		x    *fbndp.Model
+	}{
+		{"Z^0.975 FBNDP", z.X}, {"L", l},
+	} {
+		p := tc.x.P
+		tsa, t0a := math.Pow(p.Ts, p.Alpha), math.Pow(p.T0, p.Alpha)
+		f := tsa / (tsa + t0a)
+		s2 := tc.x.Variance()
+		pre := traffic.NewMoments(tc.x).Prefix(maxM - 1)
+		var worst float64
+		worstM := 0
+		for m := 1; m <= maxM; m++ {
+			fm := float64(m)
+			want := s2 * ((1-f)*fm + f*math.Pow(fm, p.Alpha+1))
+			if e := math.Abs(pre.VarSum(m)-want) / want; e > worst {
+				worst, worstM = e, m
+			}
+		}
+		t.Logf("%s: worst relative error %.3g at m = %d", tc.name, worst, worstM)
+		if worst > 1e-11 {
+			t.Errorf("%s: V(%d) off the closed form by %.3g relative, want ≤ 1e-11", tc.name, worstM, worst)
+		}
+	}
+}

@@ -173,23 +173,30 @@ type ArgminResult struct {
 // the scan; if the stopping rule has not fired by maxM the best value seen
 // is returned along with ok=false.
 //
-// This stopping rule is sound for the CTS objective f(m) = [b+m(c-μ)]²/2V(m):
-// V(m) grows strictly slower than m², so the objective tends to +∞ and, once
-// it has risen well above the incumbent and we are well past it, no later m
-// can undercut the incumbent (the numerator grows like m² while V(m) ≤ σ²m²
-// bounds the denominator's help).
+// The rule is a heuristic, not a proof: it assumes an objective that has
+// risen stopFactor-fold far past the incumbent does not come back down.
+// An objective with a provable lower bound on its tail should pass that
+// bound to IntArgminSlack instead.
 func IntArgmin(f func(int) float64, maxM int, growFactor, stopFactor float64) (ArgminResult, bool) {
-	return IntArgminSlack(f, maxM, growFactor, 0, stopFactor)
+	return IntArgminSlack(f, nil, maxM, growFactor, 0, stopFactor)
 }
 
 // IntArgminSlack is IntArgmin with an additive slack on the argument part
-// of the stopping rule: the scan stops once m ≥ growFactor·best.Arg + slack
-// and f(m) ≥ stopFactor·best.Value. The slack keeps the rule from firing
-// on the shallow early ripples of objectives whose argmin is small but
-// whose surface is locally rough (e.g. CTS objectives of near-periodic
-// ACFs, where an early incumbent at m = 1–3 would otherwise end the scan
-// before the true valley).
-func IntArgminSlack(f func(int) float64, maxM int, growFactor, slack, stopFactor float64) (ArgminResult, bool) {
+// of the stopping rule and an optional proven floor. The scan stops once
+// m ≥ growFactor·best.Arg + slack and either f(m) ≥ stopFactor·best.Value
+// or floor(m) > best.Value. The slack keeps the rule from firing on the
+// shallow early ripples of objectives whose argmin is small but whose
+// surface is locally rough (e.g. CTS objectives of near-periodic ACFs,
+// where an early incumbent at m = 1–3 would otherwise end the scan before
+// the true valley).
+//
+// floor, if not nil, must bound the tail from below: floor(m) ≤ f(m′) for
+// every m′ > m. Once it exceeds the incumbent no later m can improve on
+// it, so stopping there returns exactly what a scan without the floor
+// would have returned, through maxM or its own stop, with ok = true. The
+// floor is read only at an m where f has just been evaluated and did not
+// improve on the incumbent.
+func IntArgminSlack(f, floor func(int) float64, maxM int, growFactor, slack, stopFactor float64) (ArgminResult, bool) {
 	if maxM < 1 {
 		return ArgminResult{}, false
 	}
@@ -202,7 +209,8 @@ func IntArgminSlack(f func(int) float64, maxM int, growFactor, slack, stopFactor
 			best = ArgminResult{Arg: m, Value: v}
 			continue
 		}
-		if float64(m) >= growFactor*float64(best.Arg)+slack && v >= stopFactor*best.Value {
+		if float64(m) >= growFactor*float64(best.Arg)+slack &&
+			(v >= stopFactor*best.Value || floor != nil && floor(m) > best.Value) {
 			return best, true
 		}
 	}

@@ -199,7 +199,7 @@ func TestIntArgminInvalidMax(t *testing.T) {
 	if _, ok := IntArgmin(func(int) float64 { return 0 }, 0, 3, 3); ok {
 		t.Fatal("expected ok=false for maxM < 1")
 	}
-	if _, ok := IntArgminSlack(func(int) float64 { return 0 }, 0, 3, 64, 3); ok {
+	if _, ok := IntArgminSlack(func(int) float64 { return 0 }, nil, 0, 3, 64, 3); ok {
 		t.Fatal("expected ok=false for maxM < 1")
 	}
 }
@@ -223,7 +223,7 @@ func TestIntArgminSlackSurvivesEarlyRipple(t *testing.T) {
 	if !ok || res.Arg != 1 {
 		t.Fatalf("no-slack scan: got %+v ok=%v, want early stop at incumbent 1", res, ok)
 	}
-	res, ok = IntArgminSlack(f, 10000, 4, 64, 3)
+	res, ok = IntArgminSlack(f, nil, 10000, 4, 64, 3)
 	if !ok {
 		t.Fatal("slack scan: stopping rule did not fire")
 	}
@@ -236,8 +236,38 @@ func TestIntArgminIsZeroSlack(t *testing.T) {
 	// IntArgmin must behave exactly as IntArgminSlack with slack 0.
 	f := func(m int) float64 { d := float64(m - 23); return d*d + 1 }
 	a, aok := IntArgmin(f, 10000, 4, 3)
-	b, bok := IntArgminSlack(f, 10000, 4, 0, 3)
+	b, bok := IntArgminSlack(f, nil, 10000, 4, 0, 3)
 	if a != b || aok != bok {
 		t.Fatalf("IntArgmin %+v ok=%v differs from zero-slack %+v ok=%v", a, aok, b, bok)
+	}
+}
+
+func TestIntArgminSlackFloorStopsEarly(t *testing.T) {
+	// f dips to 1 at m = 40 and climbs so slowly that the value test
+	// fires only near m = 1455. floor(m) = f(max(m, 40)) bounds the tail
+	// from below, so the scan may stop at the first m past the argument
+	// test (4·40 + 64 = 224) where the floor exceeds the incumbent.
+	f := func(m int) float64 { d := float64(m-40) / 1000; return 1 + d*d }
+	floor := func(m int) float64 { return f(max(m, 40)) }
+	var calls int
+	counted := func(m int) float64 { calls++; return f(m) }
+
+	plain, ok := IntArgminSlack(counted, nil, 10000, 4, 64, 3)
+	if !ok || plain.Arg != 40 || calls < 1400 {
+		t.Fatalf("no floor: got %+v ok=%v after %d calls, want argmin 40 after ≥ 1400", plain, ok, calls)
+	}
+	calls = 0
+	got, ok := IntArgminSlack(counted, floor, 10000, 4, 64, 3)
+	if !ok || got != plain || calls != 224 {
+		t.Fatalf("floor: got %+v ok=%v after %d calls, want %+v after 224", got, ok, calls, plain)
+	}
+
+	// With maxM below the value test's stop, the plain scan runs out
+	// unconverged; the floor proves the same incumbent and reports ok.
+	capped, cok := IntArgminSlack(f, nil, 1000, 4, 64, 3)
+	floored, fok := IntArgminSlack(f, floor, 1000, 4, 64, 3)
+	if cok || !fok || capped != floored {
+		t.Fatalf("maxM 1000: plain %+v ok=%v, floor %+v ok=%v; want equal results, ok false then true",
+			capped, cok, floored, fok)
 	}
 }

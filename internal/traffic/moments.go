@@ -66,6 +66,9 @@ func (mo *Moments) Model() Model { return mo.model }
 // DrawVersion implements DrawVersioned for the wrapped model.
 func (mo *Moments) DrawVersion() string { return DrawVersion(mo.model) }
 
+// ACFNonIncreasing implements NonIncreasingACF for the wrapped model.
+func (mo *Moments) ACFNonIncreasing() bool { return ACFNonIncreasing(mo.model) }
+
 // Name implements Model.
 func (mo *Moments) Name() string { return mo.model.Name() }
 

@@ -44,6 +44,23 @@ type ACFRanger interface {
 	ACFRange(dst []float64, from int)
 }
 
+// NonIncreasingACF is an optional Model extension declaring that the
+// ACF never increases: 1 = r(0) ≥ r(1) ≥ r(2) ≥ … over every lag, not
+// just the lags memoised so far. Then V(m)/m² does not increase with m
+// either, which lets the critical-time-scale scan stop on a proven lower
+// bound (core.CTS). The property is a statement about the whole ACF
+// tail, so a model declares it from its closed form; it is never
+// inferred from computed lags.
+type NonIncreasingACF interface {
+	ACFNonIncreasing() bool
+}
+
+// ACFNonIncreasing reports whether m declares a non-increasing ACF.
+func ACFNonIncreasing(m Model) bool {
+	d, ok := m.(NonIncreasingACF)
+	return ok && d.ACFNonIncreasing()
+}
+
 // DrawVersioned is an optional Model extension naming the version of a
 // model's draw order: which random draws make a sample path, and in what
 // order. A family bumps its version whenever a change moves its paths at

@@ -13,7 +13,8 @@ import (
 // under results/, the files `repro -out results` writes. These outputs
 // depend on no seed, so any difference is a change to the analytic
 // machinery (V(m) memo, CTS scan, asymptotics) rather than a new random
-// draw. Fig4 and Fig5 dominate the cost and are skipped under -short.
+// draw. Every output is regenerated under -short too: with the CTS
+// scan's floor the whole test takes well under a second.
 func TestAnalyticOutputsCommitted(t *testing.T) {
 	want := func(name string) []byte {
 		t.Helper()
@@ -33,25 +34,21 @@ func TestAnalyticOutputsCommitted(t *testing.T) {
 		}
 	})
 	drivers := []struct {
-		id   string
-		slow bool
-		run  func() ([]*experiments.Result, error)
+		id  string
+		run func() ([]*experiments.Result, error)
 	}{
-		{"fig1", false, experiments.Fig1},
-		{"fig3", false, experiments.Fig3},
-		{"fig4", true, experiments.Fig4},
-		{"fig5", true, experiments.Fig5},
-		{"fig6", false, experiments.Fig6},
-		{"fig7", false, experiments.Fig7},
-		{"extmpeg", false, experiments.ExtMPEG},
-		{"extsub", false, experiments.ExtSubstrates},
-		{"extweibull", false, experiments.ExtWeibull},
+		{"fig1", experiments.Fig1},
+		{"fig3", experiments.Fig3},
+		{"fig4", experiments.Fig4},
+		{"fig5", experiments.Fig5},
+		{"fig6", experiments.Fig6},
+		{"fig7", experiments.Fig7},
+		{"extmpeg", experiments.ExtMPEG},
+		{"extsub", experiments.ExtSubstrates},
+		{"extweibull", experiments.ExtWeibull},
 	}
 	for _, d := range drivers {
 		t.Run(d.id, func(t *testing.T) {
-			if d.slow && testing.Short() {
-				t.Skip("analytic figure too slow for -short")
-			}
 			rs, err := d.run()
 			if err != nil {
 				t.Fatal(err)

@@ -40,6 +40,9 @@ func main() {
 	if *maxLag < 1 {
 		fatal(fmt.Errorf("maxlag must be ≥ 1"))
 	}
+	if *empirical > 0 && *empirical <= *maxLag {
+		fatal(fmt.Errorf("-empirical %d: a sample ACF up to lag %d needs more than %d frames", *empirical, *maxLag, *maxLag))
+	}
 
 	var lags []int
 	if *logLags {

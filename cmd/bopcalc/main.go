@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/core"
@@ -36,8 +37,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *points < 2 || *maxMsec <= 0 {
-		fatal(fmt.Errorf("need points ≥ 2 and maxmsec > 0"))
+	if *points < 2 || !(*maxMsec > 0 && *maxMsec < math.Inf(1)) {
+		fatal(fmt.Errorf("need points ≥ 2 and a finite maxmsec > 0"))
 	}
 
 	fmt.Printf("%-12s", "buffer msec")

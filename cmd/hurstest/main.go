@@ -23,6 +23,9 @@ import (
 	"repro/internal/traffic"
 )
 
+// minFrames is the shortest series the estimators accept.
+const minFrames = 4096
+
 func main() {
 	var (
 		modelSpec = flag.String("model", "z:0.9", "model spec to generate from")
@@ -46,11 +49,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if *frames < minFrames {
+			fatal(fmt.Errorf("-frames %d: need ≥ %d", *frames, minFrames))
+		}
 		xs = traffic.Generate(m.NewGenerator(*seed), *frames)
 		label = m.Name()
 	}
-	if len(xs) < 4096 {
-		fatal(fmt.Errorf("series too short (%d frames; need ≥ 4096)", len(xs)))
+	if len(xs) < minFrames {
+		fatal(fmt.Errorf("series too short (%d frames; need ≥ %d)", len(xs), minFrames))
 	}
 
 	fmt.Printf("series: %s, %d frames\n", label, len(xs))

@@ -242,7 +242,7 @@ func (d *differ) compareCI(key string, g, c telemetry.SeriesRecord, rtol float64
 
 // compareConv checks the per-point convergence records exactly. n and
 // non_finite are counts, not estimates, so no tolerance applies; rel_ci
-// and ess derive from the estimates compareVec already checked.
+// and outcome derive from the estimates compareVec already checked.
 func (d *differ) compareConv(key string, g, c []telemetry.ConvRecord) {
 	if len(g) != len(c) {
 		d.drift("%s.conv: length %d (golden) != %d (candidate)", key, len(g), len(c))

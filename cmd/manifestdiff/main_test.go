@@ -12,7 +12,7 @@ import (
 // records are not.
 func TestCompareResultConv(t *testing.T) {
 	conv := func(n, nonFinite int) telemetry.ConvRecord {
-		return telemetry.ConvRecord{N: n, NonFinite: nonFinite, RelCI: 0.1, ESS: float64(n), Converged: true}
+		return telemetry.ConvRecord{N: n, NonFinite: nonFinite, RelCI: 0.1, Outcome: "converged"}
 	}
 	result := func(c ...telemetry.ConvRecord) telemetry.ResultRecord {
 		return telemetry.ResultRecord{ID: "fig8a", Series: []telemetry.SeriesRecord{{
@@ -31,7 +31,7 @@ func TestCompareResultConv(t *testing.T) {
 		drifts int
 	}{
 		{"identical", result(conv(2, 0), conv(2, 0)), 0},
-		{"rel_ci and ess are not compared", result(telemetry.ConvRecord{N: 2, RelCI: 0.3, ESS: 1.5}, conv(2, 0)), 0},
+		{"rel_ci and outcome are not compared", result(telemetry.ConvRecord{N: 2, RelCI: 0.6, Outcome: "unconverged"}, conv(2, 0)), 0},
 		{"nonfinite mismatch", result(conv(2, 0), conv(2, 1)), 1},
 		{"n mismatch", result(conv(1, 0), conv(2, 0)), 1},
 		{"both points differ", result(conv(3, 0), conv(2, 2)), 2},

@@ -68,7 +68,6 @@ func main() {
 		workers = flag.Int("workers", 0, "parallel simulation workers (0 = all cores, 1 = serial)")
 		ckpt    = flag.String("checkpoint", "", "checkpoint file: persist finished replications and resume interrupted runs")
 		trc     = flag.String("trace", "", "write Chrome trace-event JSON of the run's span tree to this file (load in Perfetto)")
-		convRel = flag.Float64("convrel", 0, "target relative 95% CI half-width for convergence verdicts (0 = default 0.5)")
 		cpuProf = flag.String("cpuprofile", "", "write a whole-run CPU profile, labelled by figure/sweep_point/model/path/lane, to this file (read with go tool pprof); empty = off")
 		verbose = flag.Bool("v", false, "verbose logging (debug level)")
 		quiet   = flag.Bool("quiet", false, "log errors only (overrides -v)")
@@ -121,7 +120,6 @@ func main() {
 	sim := experiments.SimConfig{
 		Reps: *reps, Frames: *frames, Seed: *seed,
 		Engine: eng, Ctx: ctx,
-		ConvMaxRelCI: *convRel,
 	}
 	if err := sim.Validate(); err != nil {
 		fatal(err)
@@ -303,15 +301,15 @@ func resultRecord(stage string, r *experiments.Result) telemetry.ResultRecord {
 }
 
 // convRecord converts a diag verdict into its manifest form. An undefined
-// relative CI (±Inf: fewer than two finite observations, or a zero mean
-// with spread) becomes −1, since JSON cannot carry non-finite numbers.
+// relative CI (+Inf: fewer than two finite observations, or a zero mean)
+// becomes −1, since JSON cannot carry non-finite numbers.
 func convRecord(v diag.Verdict) telemetry.ConvRecord {
 	rel := v.RelCI
 	if math.IsInf(rel, 0) || math.IsNaN(rel) {
 		rel = -1
 	}
 	return telemetry.ConvRecord{
-		N: v.N, NonFinite: v.NonFinite, RelCI: rel, ESS: v.ESS, Converged: v.Converged,
+		N: v.N, NonFinite: v.NonFinite, RelCI: rel, Outcome: string(v.Outcome),
 	}
 }
 

@@ -35,18 +35,23 @@ type Operating struct {
 	N int     // number of multiplexed sources
 }
 
+// positive and nonNegative report whether x lies in (0, ∞) or [0, ∞).
+// NaN and +Inf fail both; a bare x <= 0 or x < 0 check lets NaN through.
+func positive(x float64) bool    { return x > 0 && !math.IsInf(x, 1) }
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // Validate checks the operating point against model m (stability requires
-// c > μ).
+// c > μ). NaN and infinite b or c are rejected.
 func (o Operating) Validate(m traffic.Model) error {
 	if o.N < 1 {
 		return fmt.Errorf("core: N = %d must be ≥ 1", o.N)
 	}
-	if o.B < 0 {
-		return fmt.Errorf("core: buffer b = %v must be non-negative", o.B)
-	}
-	if o.C <= m.Mean() {
-		return fmt.Errorf("core: bandwidth c = %v must exceed the mean %v for stability",
+	if !positive(o.C - m.Mean()) {
+		return fmt.Errorf("core: bandwidth c = %v must be finite and exceed the mean %v for stability",
 			o.C, m.Mean())
+	}
+	if !nonNegative(o.B) {
+		return fmt.Errorf("core: buffer b = %v must be finite and non-negative", o.B)
 	}
 	return nil
 }
@@ -208,19 +213,19 @@ func WeibullJ(p LRDParams, op Operating) float64 {
 // for exact-LRD Gaussian input. It reduces to log-linear decay in B when
 // H = 1/2.
 func WeibullLRD(p LRDParams, op Operating) (float64, error) {
-	if p.H < 0.5 || p.H >= 1 {
+	if !(p.H >= 0.5 && p.H < 1) {
 		return 0, fmt.Errorf("core: Hurst parameter %v outside [0.5, 1)", p.H)
 	}
-	if p.G <= 0 || p.G > 1 {
+	if !(p.G > 0 && p.G <= 1) {
 		return 0, fmt.Errorf("core: g(Ts) = %v outside (0, 1]", p.G)
 	}
-	if p.Sigma2 <= 0 {
-		return 0, fmt.Errorf("core: variance %v must be positive", p.Sigma2)
+	if !positive(p.Sigma2) {
+		return 0, fmt.Errorf("core: variance %v must be finite and positive", p.Sigma2)
 	}
-	if op.C <= p.Mu {
-		return 0, fmt.Errorf("core: bandwidth %v must exceed mean %v", op.C, p.Mu)
+	if !positive(op.C - p.Mu) {
+		return 0, fmt.Errorf("core: bandwidth %v must be finite and exceed mean %v", op.C, p.Mu)
 	}
-	if op.N < 1 || op.B < 0 {
+	if op.N < 1 || !nonNegative(op.B) {
 		return 0, fmt.Errorf("core: invalid operating point N=%d b=%v", op.N, op.B)
 	}
 	j := WeibullJ(p, op)

@@ -36,14 +36,23 @@ func mustDAR1(t testing.TB, rho float64) *dar.Process {
 	return p
 }
 
+// badOperating holds operating points every check must reject; a bare
+// c <= μ or b < 0 test lets the NaN ones through, and c = +Inf passes
+// c > μ.
+var badOperating = []Operating{
+	{C: 538, B: 10, N: 0},           // bad N
+	{C: 538, B: -1, N: 30},          // bad buffer
+	{C: 500, B: 10, N: 30},          // c == mean: unstable
+	{C: 400, B: 10, N: 30},          // c < mean
+	{C: math.NaN(), B: 10, N: 30},   // c NaN
+	{C: math.Inf(1), B: 10, N: 30},  // c +Inf
+	{C: 538, B: math.NaN(), N: 30},  // b NaN
+	{C: 538, B: math.Inf(1), N: 30}, // b +Inf
+}
+
 func TestOperatingValidate(t *testing.T) {
 	m := whiteNoise{500, 5000}
-	cases := []Operating{
-		{C: 538, B: 10, N: 0},  // bad N
-		{C: 538, B: -1, N: 30}, // bad buffer
-		{C: 500, B: 10, N: 30}, // c == mean: unstable
-		{C: 400, B: 10, N: 30}, // c < mean
-	}
+	cases := badOperating
 	for i, op := range cases {
 		if err := op.Validate(m); err == nil {
 			t.Errorf("case %d: expected error", i)
@@ -372,15 +381,21 @@ func TestWeibullValidation(t *testing.T) {
 		{H: 0.9, G: 2, Mu: 500, Sigma2: 5000},
 		{H: 0.9, G: 1, Mu: 500, Sigma2: 0},
 		{H: 0.9, G: 1, Mu: 600, Sigma2: 5000},
+		{H: math.NaN(), G: 1, Mu: 500, Sigma2: 5000},
+		{H: 0.9, G: math.NaN(), Mu: 500, Sigma2: 5000},
+		{H: 0.9, G: 1, Mu: 500, Sigma2: math.NaN()},
+		{H: 0.9, G: 1, Mu: 500, Sigma2: math.Inf(1)},
+		{H: 0.9, G: 1, Mu: math.NaN(), Sigma2: 5000},
 	}
 	for i, p := range bad {
-		if _, err := WeibullLRD(p, op); err == nil {
-			t.Errorf("case %d: expected error", i)
+		if pr, err := WeibullLRD(p, op); err == nil {
+			t.Errorf("case %d: expected error, got %v", i, pr)
 		}
 	}
-	if _, err := WeibullLRD(LRDParams{H: 0.9, G: 1, Mu: 500, Sigma2: 5000},
-		Operating{C: 538, B: -1, N: 30}); err == nil {
-		t.Error("negative buffer: expected error")
+	for _, bop := range badOperating {
+		if pr, err := WeibullLRD(LRDParams{H: 0.9, G: 1, Mu: 500, Sigma2: 5000}, bop); err == nil {
+			t.Errorf("operating point %+v: expected error, got %v", bop, pr)
+		}
 	}
 }
 

@@ -1,21 +1,18 @@
-// Package diag provides online convergence diagnostics for simulated
-// estimates — the statistical half of the observability layer. A CLR of
-// 1e-6 needs enormous sample sizes before its confidence interval is
-// meaningful, and LRD estimators are notorious for converging slowly and
-// failing silently (Clegg et al., arXiv:1303.6841); this package makes
-// "has this estimate actually converged?" a first-class, machine-checkable
-// question instead of a leap of faith.
+// Package diag provides convergence diagnostics for simulated estimates —
+// the statistical half of the observability layer. A CLR of 1e-6 needs
+// enormous sample sizes before its confidence interval is meaningful, and
+// LRD estimators are notorious for converging slowly and failing silently
+// (Clegg et al., arXiv:1303.6841); this package makes "has this estimate
+// actually converged?" a first-class, machine-checkable question instead
+// of a leap of faith.
 //
 // Building blocks:
 //
-//   - Welford: numerically stable streaming mean/variance.
-//   - Tracker: sequential relative-CI-width tracking over a stream of
-//     replication estimates, recording if and when the interval first
-//     tightened below a target.
-//   - ESS: effective sample size under autocorrelation, via the
-//     initial-positive-sequence truncation of the sample ACF.
-//   - Assess: one-shot verdict over a finished series of estimates,
-//     combining all of the above with finiteness screening.
+//   - Assess: one verdict over a finished series of independent
+//     replication estimates. It quarantines NaN/±Inf replications and
+//     reads the same stats.ReplicationCI interval that the series'
+//     confidence bounds come from, so a verdict and its bounds can never
+//     disagree.
 //   - Probe (health.go): NaN/Inf/underflow counters for numerical
 //     kernels, free on the all-finite fast path.
 //
@@ -27,172 +24,31 @@ package diag
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/stats"
 )
 
-// Welford is a numerically stable streaming mean/variance accumulator
-// (Welford's online algorithm). The zero value is an empty accumulator.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
+// maxRelCI is the convergence target: a relative 95% CI half-width of
+// 50%. CLRs near 1e-6 are order-of-magnitude statements in the paper's
+// plots, so ±50% is the widest interval that still supports the figures'
+// qualitative claims.
+const maxRelCI = 0.5
 
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
+// Outcome classifies a verdict. Its value is the manifest's and the
+// conv_points_total metric's label.
+type Outcome string
 
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased sample variance (0 for fewer than two
-// observations).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// normalQuantile975 is the 97.5% standard-normal quantile, giving the
-// two-sided 95% intervals used throughout the paper's replication design.
-const normalQuantile975 = 1.959963984540054
-
-// Tracker follows a stream of replication estimates and reports, after
-// every observation, the relative half-width of the normal-approximation
-// 95% confidence interval: z·(s/√n)/|mean|. It records the first n at
-// which the width dropped to the target, which is the sequential stopping
-// diagnostic ("how many replications would have sufficed") that a
-// fixed-replication design never surfaces.
-type Tracker struct {
-	w         Welford
-	maxRel    float64
-	nonFinite int64
-	firstConv int64 // first n with Rel() ≤ maxRel; 0 = never
-}
-
-// NewTracker builds a tracker that targets the given relative CI
-// half-width (e.g. 0.25 for ±25%).
-func NewTracker(maxRel float64) *Tracker {
-	return &Tracker{maxRel: maxRel}
-}
-
-// Add folds one estimate in. Non-finite observations are quarantined:
-// counted, excluded from the moments, and permanently disqualify
-// convergence.
-func (t *Tracker) Add(x float64) {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		t.nonFinite++
-		return
-	}
-	t.w.Add(x)
-	if t.firstConv == 0 && t.w.N() >= 2 && t.nonFinite == 0 && t.Rel() <= t.maxRel {
-		t.firstConv = t.w.N()
-	}
-}
-
-// N returns the number of finite observations.
-func (t *Tracker) N() int64 { return t.w.N() }
-
-// NonFinite returns the number of quarantined NaN/±Inf observations.
-func (t *Tracker) NonFinite() int64 { return t.nonFinite }
-
-// Mean returns the running mean over finite observations.
-func (t *Tracker) Mean() float64 { return t.w.Mean() }
-
-// Rel returns the current relative 95% CI half-width. A degenerate stream
-// (all values identical, including all zero) reports 0 — the interval is
-// exact; a zero mean with spread reports +Inf.
-func (t *Tracker) Rel() float64 {
-	if t.w.N() < 2 {
-		return math.Inf(1)
-	}
-	s := t.w.Std()
-	if s == 0 {
-		return 0
-	}
-	m := math.Abs(t.w.Mean())
-	if m == 0 {
-		return math.Inf(1)
-	}
-	return normalQuantile975 * s / math.Sqrt(float64(t.w.N())) / m
-}
-
-// Converged reports whether the stream currently meets the target: at
-// least two finite observations, no non-finite ones, and Rel ≤ maxRel.
-func (t *Tracker) Converged() bool {
-	return t.w.N() >= 2 && t.nonFinite == 0 && t.Rel() <= t.maxRel
-}
-
-// FirstConvergedAt returns the first n at which the interval met the
-// target (0 when it never has). The interval can widen again afterwards;
-// Converged reports the current state.
-func (t *Tracker) FirstConvergedAt() int64 { return t.firstConv }
-
-// ESS estimates the effective sample size of xs under autocorrelation:
-// n / (1 + 2·Σρ_k), with the sample ACF summed over the initial positive
-// sequence (truncated at the first non-positive ρ_k and at lag n/2, the
-// standard guard against summing pure noise). Independent replications
-// give ESS ≈ n; positively correlated streams — batch means of one long
-// run, overlapping-window estimates — report the smaller number of
-// effectively independent observations that CI widths should be scaled
-// by. The result is clamped to [1, n]. Fewer than two finite observations
-// (or zero variance) report float64(n).
-func ESS(xs []float64) float64 {
-	var fin []float64
-	for _, x := range xs {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			fin = append(fin, x)
-		}
-	}
-	n := len(fin)
-	if n < 2 {
-		return float64(n)
-	}
-	var mean float64
-	for _, x := range fin {
-		mean += x
-	}
-	mean /= float64(n)
-	var c0 float64
-	for _, x := range fin {
-		d := x - mean
-		c0 += d * d
-	}
-	c0 /= float64(n)
-	if c0 == 0 {
-		return float64(n)
-	}
-	var sum float64
-	for k := 1; k <= n/2; k++ {
-		var ck float64
-		for i := 0; i+k < n; i++ {
-			ck += (fin[i] - mean) * (fin[i+k] - mean)
-		}
-		rho := ck / float64(n) / c0
-		if rho <= 0 {
-			break
-		}
-		sum += rho
-	}
-	ess := float64(n) / (1 + 2*sum)
-	if ess < 1 {
-		return 1
-	}
-	if ess > float64(n) {
-		return float64(n)
-	}
-	return ess
-}
+const (
+	// Converged: at least two finite replications, none quarantined, and
+	// a relative 95% CI half-width of at most maxRelCI.
+	Converged Outcome = "converged"
+	// Unconverged: anything that is neither Converged nor NoLoss.
+	Unconverged Outcome = "unconverged"
+	// NoLoss: every replication is exactly 0 and none is non-finite. The
+	// interval is empty, not exact; what n independent replications do
+	// bound, at 95%, is each one's probability of any loss: 1 − 0.05^{1/n}.
+	NoLoss Outcome = "no_loss"
+)
 
 // Verdict is the convergence assessment of one finished series of
 // estimates (e.g. the per-replication CLRs of one sweep point).
@@ -200,41 +56,55 @@ type Verdict struct {
 	N         int     // finite observations
 	NonFinite int     // quarantined NaN/±Inf observations
 	Mean      float64 // mean of finite observations
-	RelCI     float64 // relative 95% CI half-width, scaled by ESS
-	ESS       float64 // effective sample size under autocorrelation
-	Converged bool    // RelCI ≤ target, ≥ 2 finite obs, nothing quarantined
+	RelCI     float64 // relative 95% CI half-width; +Inf when undefined
+	Outcome   Outcome
 }
 
 // String renders the verdict for log lines.
 func (v Verdict) String() string {
+	if v.Outcome == NoLoss {
+		return fmt.Sprintf("no loss (n=%d)", v.N)
+	}
 	state := "converged"
-	if !v.Converged {
+	if v.Outcome != Converged {
 		state = "UNCONVERGED"
 	}
-	return fmt.Sprintf("%s (n=%d ess=%.1f relCI=%.3g mean=%.4g nonfinite=%d)",
-		state, v.N, v.ESS, v.RelCI, v.Mean, v.NonFinite)
+	return fmt.Sprintf("%s (n=%d relCI=%.3g mean=%.4g nonfinite=%d)",
+		state, v.N, v.RelCI, v.Mean, v.NonFinite)
 }
 
-// Assess renders the one-shot verdict for a finished series against a
-// target relative CI half-width. The CI is widened by the effective
-// sample size — √(n/ESS) — so autocorrelated series do not claim
-// precision their information content cannot support.
-func Assess(xs []float64, maxRel float64) Verdict {
-	tr := NewTracker(maxRel)
+// Assess renders the verdict for a finished series of independent
+// replication estimates. Non-finite values are counted and left out of
+// the interval, and any of them rules out Converged and NoLoss. RelCI is
+// stats.ReplicationCI(finite, 0.95).Half / |Point|; it is undefined
+// (+Inf) for fewer than two finite values or a zero mean.
+func Assess(xs []float64) Verdict {
+	finite := make([]float64, 0, len(xs))
+	allZero := true
 	for _, x := range xs {
-		tr.Add(x)
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
+		}
+		finite = append(finite, x)
+		allZero = allZero && x == 0
 	}
+	ci := stats.ReplicationCI(finite, 0.95)
 	v := Verdict{
-		N:         int(tr.N()),
-		NonFinite: int(tr.NonFinite()),
-		Mean:      tr.Mean(),
-		ESS:       ESS(xs),
+		N:         len(finite),
+		NonFinite: len(xs) - len(finite),
+		Mean:      ci.Point,
+		RelCI:     math.Inf(1),
+		Outcome:   Unconverged,
 	}
-	rel := tr.Rel()
-	if v.ESS > 0 && !math.IsInf(rel, 0) {
-		rel *= math.Sqrt(float64(v.N) / v.ESS)
+	if v.N >= 2 && ci.Point != 0 {
+		v.RelCI = ci.Half / math.Abs(ci.Point)
 	}
-	v.RelCI = rel
-	v.Converged = v.N >= 2 && v.NonFinite == 0 && rel <= maxRel
+	switch {
+	case v.NonFinite > 0:
+	case v.N >= 1 && allZero:
+		v.Outcome = NoLoss
+	case v.RelCI <= maxRelCI:
+		v.Outcome = Converged
+	}
 	return v
 }

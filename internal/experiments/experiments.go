@@ -169,25 +169,6 @@ type SimConfig struct {
 	// it. The zero Span disables tracing. Observational only — never part
 	// of seeds, so results are bit-identical with tracing on or off.
 	Span trace.Span
-	// ConvMaxRelCI is the target relative 95% CI half-width for per-point
-	// convergence verdicts (≤ 0 selects DefaultConvMaxRelCI). Verdicts are
-	// attached to every simulated series and unconverged points are logged
-	// as warnings; they never alter the estimates themselves.
-	ConvMaxRelCI float64
-}
-
-// DefaultConvMaxRelCI is the default convergence target: a relative 95%
-// CI half-width of 50%. CLRs near 1e-6 are order-of-magnitude statements
-// in the paper's plots, so ±50% is the widest interval that still
-// supports the figures' qualitative claims.
-const DefaultConvMaxRelCI = 0.5
-
-// convRel returns the effective convergence target.
-func (s SimConfig) convRel() float64 {
-	if s.ConvMaxRelCI > 0 {
-		return s.ConvMaxRelCI
-	}
-	return DefaultConvMaxRelCI
 }
 
 // engine returns the orchestration engine to run under.

@@ -30,7 +30,8 @@ var SimBufferGridMsec = []float64{0, 1, 2, 4, 6, 8, 10, 14, 20}
 // Each sweep runs under a child span of cfg.Span (replications and mux
 // chunks nest below it), and every grid point gets a convergence verdict
 // over its per-replication CLRs; unconverged points are logged as
-// warnings. Both are observational — they never touch the estimates.
+// warnings and points with no loss at debug level. Both are
+// observational — they never touch the estimates.
 func clrSeries(m traffic.Model, c float64, n int, grid []float64, cfg SimConfig) (Series, error) {
 	if err := cfg.Validate(); err != nil {
 		return Series{}, err
@@ -70,11 +71,14 @@ func clrSeries(m traffic.Model, c float64, n int, grid []float64, cfg SimConfig)
 		for rep, r := range byBuffer[i] {
 			clrs[rep] = r.CLR
 		}
-		v := diag.Assess(clrs, cfg.convRel())
+		v := diag.Assess(clrs)
 		publishConvergence(v)
 		s.Verdicts = append(s.Verdicts, v)
-		if !v.Converged {
+		switch v.Outcome {
+		case diag.Unconverged:
 			telemetry.Log.Warnf("%s buffer %g msec: %s", m.Name(), grid[i], v)
+		case diag.NoLoss:
+			telemetry.Log.Debugf("%s buffer %g msec: %s", m.Name(), grid[i], v)
 		}
 	}
 	return s, nil

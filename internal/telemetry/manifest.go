@@ -10,8 +10,10 @@ import (
 )
 
 // ManifestSchemaVersion identifies the JSONL manifest schema. Bump when a
-// line shape changes incompatibly; readers reject newer majors.
-const ManifestSchemaVersion = 1
+// line shape changes incompatibly; readers reject newer majors. Version 2
+// replaced the conv records' "converged" boolean and "ess" with
+// "outcome".
+const ManifestSchemaVersion = 2
 
 // A run manifest is a JSONL file written next to a run's -out artifacts:
 // one self-describing JSON object per line, flushed as the run progresses
@@ -68,15 +70,17 @@ type SeriesRecord struct {
 }
 
 // ConvRecord is the manifest form of one point's convergence verdict.
-// RelCI is the relative 95% CI half-width scaled by the effective sample
-// size; −1 encodes "undefined" (fewer than two finite observations, or a
-// zero mean with spread) since JSON cannot carry ±Inf.
+// RelCI is the relative half-width of the point's 95% replication CI (the
+// interval behind the series' Lo/Hi); −1 encodes "undefined" (fewer than
+// two finite observations, or a zero mean) since JSON cannot carry ±Inf.
+// Outcome is "converged", "unconverged" or "no_loss" (every replication
+// exactly 0, none non-finite; N then bounds the per-replication loss
+// probability by 1 − 0.05^{1/N} at 95%).
 type ConvRecord struct {
 	N         int     `json:"n"`
 	NonFinite int     `json:"non_finite,omitempty"`
 	RelCI     float64 `json:"rel_ci"`
-	ESS       float64 `json:"ess"`
-	Converged bool    `json:"converged"`
+	Outcome   string  `json:"outcome"`
 }
 
 // ResultRecord reports one figure/table panel produced by a stage.
